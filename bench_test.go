@@ -218,7 +218,7 @@ func BenchmarkWireUpdateEncodeDecode(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
-		buf, err = wire.Append(buf[:0], upd)
+		buf, err = wire.AppendUpdate(buf[:0], &upd)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -3,7 +3,8 @@
 // abstract activation model, the message-level discrete-event simulator,
 // and real TCP speakers on the loopback interface. The two operational
 // substrates drive the identical router core and share the typed-event
-// trace rendering and operational counters.
+// trace rendering and operational counters. The TCP speakers talk real
+// BGP-4 (RFC 4271/4456/7911) on their sessions.
 //
 // Usage:
 //
@@ -12,17 +13,12 @@
 //	        [-schedule roundrobin|allatonce|random] [-seed N]
 //	        [-max-steps N] [-trace] [-figure 1a|1b|2|3|12|13|14]
 //	        [-substrate model|sim|tcp] [-delay N] [-jitter N] [-mrai N]
-//	        [-wait D] [-faults SPEC] [-codec private|bgp4]
+//	        [-wait D] [-faults SPEC]
 //
 // Either -topology or -figure selects the system. -substrate=sim runs the
 // message-level simulator (virtual ticks; -delay/-jitter shape per-message
 // delays), -substrate=tcp runs the loopback speakers (milliseconds; -wait
-// bounds the quiescence wait). -msgsim is a deprecated alias for
-// -substrate=sim.
-//
-// -codec selects the TCP speakers' wire format: the compact private codec
-// (default) or real BGP-4 messages per RFC 4271/4456/7911. The codec is
-// pure transport — both produce identical routing outcomes.
+// bounds the quiescence wait).
 //
 // -faults installs a deterministic fault plan on either operational
 // substrate: "seed=7,drop=0.05,dup=0.02,delay=0.2,maxdelay=30,
@@ -54,13 +50,11 @@ func main() {
 		maxSteps  = flag.Int("max-steps", 10000, "activation / event budget")
 		showTr    = flag.Bool("trace", false, "print per-event trace")
 		substrate = flag.String("substrate", "model", "execution substrate: model, sim or tcp")
-		useMsg    = flag.Bool("msgsim", false, "deprecated alias for -substrate=sim")
 		delay     = flag.Int64("delay", 10, "sim: base message delay")
 		jitter    = flag.Int64("jitter", 0, "sim: random extra delay bound")
 		mrai      = flag.Int64("mrai", 0, "minimum route advertisement interval, sim ticks / tcp ms (0 off)")
 		wait      = flag.Duration("wait", 5*time.Second, "tcp: quiescence wait bound")
 		faultSpec = flag.String("faults", "", `sim/tcp: fault plan, e.g. "seed=7,drop=0.05,dup=0.02,delay=0.2,maxdelay=30,reset=0-1@100+50,horizon=600"`)
-		codecName = flag.String("codec", "private", "tcp: wire format, private or bgp4")
 	)
 	flag.Parse()
 
@@ -75,14 +69,6 @@ func main() {
 		os.Exit(1)
 	}
 	opts, err := cli.ParseOptions(*order, *med)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ibgpsim:", err)
-		os.Exit(1)
-	}
-	if *useMsg {
-		*substrate = "sim"
-	}
-	codec, err := cli.ParseCodec(*codecName)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ibgpsim:", err)
 		os.Exit(1)
@@ -106,7 +92,7 @@ func main() {
 	case "sim":
 		runMsgsim(sys, pol, opts, plan, *delay, *jitter, *mrai, *seed, *maxSteps, *showTr)
 	case "tcp":
-		runTCP(sys, pol, opts, plan, codec, *mrai, *wait, *showTr)
+		runTCP(sys, pol, opts, plan, *mrai, *wait, *showTr)
 	default:
 		fmt.Fprintf(os.Stderr, "ibgpsim: unknown substrate %q (model, sim or tcp)\n", *substrate)
 		os.Exit(1)
@@ -190,9 +176,8 @@ func runMsgsim(sys *ibgp.System, pol ibgp.Policy, opts ibgp.Options, plan *ibgp.
 	}
 }
 
-func runTCP(sys *ibgp.System, pol ibgp.Policy, opts ibgp.Options, plan *ibgp.FaultPlan, codec ibgp.Codec, mrai int64, wait time.Duration, showTrace bool) {
+func runTCP(sys *ibgp.System, pol ibgp.Policy, opts ibgp.Options, plan *ibgp.FaultPlan, mrai int64, wait time.Duration, showTrace bool) {
 	n := ibgp.NewTCPNetwork(sys, pol, opts)
-	n.SetCodec(codec)
 	n.SetMRAI(mrai)
 	if err := n.SetFaults(plan); err != nil {
 		fmt.Fprintln(os.Stderr, "ibgpsim:", err)

@@ -11,7 +11,7 @@
 //	         [-seed N] [-duration D] [-rate R] [-churn KVLIST]
 //	         [-faults SPEC] [-substrate sim|tcp|both] [-mrai N] [-workers N]
 //	         [-policy modified|...] [-order paper|rfc] [-med standard|always]
-//	         [-codec private|bgp4] [-listen HOST:PORT] [-stats-every D] [-agg]
+//	         [-listen HOST:PORT] [-stats-every D] [-agg]
 //
 // The topology comes from the ISP generator family (-spec, seeded by
 // -seed) unless -topology or -figure names one explicitly. The churn
@@ -22,10 +22,6 @@
 // "-substrate both" runs the discrete-event simulator and the loopback
 // TCP speakers on the identical stream and fails if their aggregates
 // differ.
-//
-// -codec picks the TCP speakers' wire format (private or real BGP-4). The
-// deterministic aggregate is codec-independent, so "-substrate both
-// -codec bgp4" doubles as a wire-format differential against the sim.
 //
 // -listen exposes the live feed: GET /events streams newline-delimited
 // JSON router events with periodic aggregate records, /stats and
@@ -102,7 +98,6 @@ func main() {
 		policy     = flag.String("policy", "modified", "classic, walton, modified or adaptive")
 		order      = flag.String("order", "paper", "rule order: paper or rfc")
 		med        = flag.String("med", "standard", "MED mode: standard or always")
-		codecName  = flag.String("codec", "private", "tcp wire format: private or bgp4")
 		listen     = flag.String("listen", "", "serve the live telemetry feed on HOST:PORT (empty disables)")
 		statsEvery = flag.Duration("stats-every", 2*time.Second, "interval between aggregate records on /events")
 		aggOnly    = flag.Bool("agg", false, "print only the deterministic aggregate (for run-to-run comparison)")
@@ -137,10 +132,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	codec, err := cli.ParseCodec(*codecName)
-	if err != nil {
-		fatal(err)
-	}
 
 	cfg := churn.Config{
 		Spec:      cspec,
@@ -151,7 +142,6 @@ func main() {
 		MRAI:      *mrai,
 		Workers:   *workers,
 		DelaySeed: *seed,
-		Codec:     codec,
 	}
 
 	if *listen != "" {

@@ -82,11 +82,11 @@ var passRegistryPackages = []string{
 
 // pooledWirePackages are the import-path suffixes of the wire hot path:
 // the substrates that serialise every routing message of a run. There the
-// codec must be driven through wire.AppendUpdate / wire.Append into a
-// reused or pooled buffer — wire.Encode allocates a fresh []byte per
-// message, which is exactly the per-message garbage the zero-alloc wire
-// path removed. Test files stay exempt: a one-shot Encode in a test is
-// convenience, not a hot path.
+// codec must be driven through wire.AppendUpdate into a reused or pooled
+// buffer — wire.Encode allocates a fresh []byte per message, which is
+// exactly the per-message garbage the zero-alloc wire path removed. Test
+// files stay exempt: a one-shot Encode in a test is convenience, not a
+// hot path.
 var pooledWirePackages = []string{
 	"internal/msgsim",
 	"internal/speaker",
@@ -617,9 +617,8 @@ func (a *analyzer) checkHotKey(file *ast.File) {
 // wire hot path (internal/msgsim, internal/speaker, non-test files):
 // wire.Encode allocates a new []byte per message, and a substrate that
 // serialises every routing message of a run must instead reuse buffers via
-// wire.AppendUpdate / wire.Append (freelist on msgsim, sync.Pool on the
-// speaker). The import's local name is tracked so aliased imports don't
-// dodge the check.
+// wire.AppendUpdate (freelist on msgsim, sync.Pool on the speaker). The
+// import's local name is tracked so aliased imports don't dodge the check.
 func (a *analyzer) checkWireEncode(file *ast.File) {
 	wireName := ""
 	for _, imp := range file.Imports {

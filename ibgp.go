@@ -324,18 +324,6 @@ func NewTCPNetwork(sys *System, policy Policy, opts Options) *TCPNetwork {
 	return speaker.New(sys, policy, opts)
 }
 
-// Codec is a TCP speaker wire format; install one with
-// TCPNetwork.SetCodec before Start.
-type Codec = speaker.Codec
-
-// Wire formats for TCPNetwork.SetCodec: the compact private codec (the
-// default) and real BGP-4 messages per RFC 4271/4456/7911. Both are pure
-// transport — the routing outcome is codec-independent.
-var (
-	PrivateCodec = speaker.PrivateCodec
-	BGP4Codec    = speaker.BGP4
-)
-
 // Deterministic fault injection (package faults): seeded plans of
 // wire-level fault fates — drop, duplicate, reorder, delay, session reset
 // — installed on either substrate with SetFaults before the run.

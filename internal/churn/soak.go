@@ -73,11 +73,6 @@ type Config struct {
 	// Latency, when set, receives each round's post-burst convergence
 	// latency (virtual ticks on msgsim, milliseconds on TCP).
 	Latency func(int64)
-	// Codec selects the TCP substrate's wire format (nil means the
-	// private codec). The codec is pure transport: every codec produces
-	// the identical typed-event stream, aggregate and state hash, which
-	// the cross-codec differential suite pins.
-	Codec speaker.Codec
 }
 
 func (c Config) fill() Config {
@@ -542,9 +537,6 @@ func SoakTCP(sys *topology.System, cfg Config) (*Report, error) {
 	n, err := speaker.NewMulti(domainSystems(sys, cfg.Spec.Prefixes), cfg.Policy, cfg.Opts)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.Codec != nil {
-		n.SetCodec(cfg.Codec)
 	}
 	if cfg.Events != nil {
 		n.Subscribe(cfg.Events)

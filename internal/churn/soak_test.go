@@ -9,7 +9,6 @@ import (
 	"repro/internal/faults"
 	"repro/internal/protocol"
 	"repro/internal/router"
-	"repro/internal/speaker"
 	"repro/internal/topogen"
 	"repro/internal/topology"
 )
@@ -156,35 +155,5 @@ func TestSoakCrossSubstrate(t *testing.T) {
 	}
 	if tcp.Substrate != "tcp" || sim.Substrate != "sim" {
 		t.Fatalf("substrate labels %q / %q", sim.Substrate, tcp.Substrate)
-	}
-}
-
-// TestSoakTCPCrossCodec: the TCP soak's deterministic aggregate (event
-// totals, per-round checks and the FNV state hash) must be byte-identical
-// whichever wire format carries the UPDATEs. Together with the sim/TCP
-// equality above this pins the bgp4 codec as pure transport.
-func TestSoakTCPCrossCodec(t *testing.T) {
-	sys := smallSys(t)
-	cfg := soakConfig()
-	cfg.Rounds = 3
-
-	private, err := SoakTCP(sys, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !private.OK() {
-		t.Fatalf("private-codec soak violations: %v", private.Violations)
-	}
-
-	cfg.Codec = speaker.BGP4
-	bgp4, err := SoakTCP(sys, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bgp4.OK() {
-		t.Fatalf("bgp4-codec soak violations: %v", bgp4.Violations)
-	}
-	if !reflect.DeepEqual(private.Agg, bgp4.Agg) {
-		t.Fatalf("codecs disagree:\nprivate %+v\nbgp4    %+v", private.Agg, bgp4.Agg)
 	}
 }

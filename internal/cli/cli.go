@@ -14,7 +14,6 @@ import (
 	"repro/internal/figures"
 	"repro/internal/protocol"
 	"repro/internal/selection"
-	"repro/internal/speaker"
 	"repro/internal/topogen"
 	"repro/internal/topology"
 	"repro/internal/workload"
@@ -247,10 +246,6 @@ func floatField(dst *float64) func(string) error {
 		return nil
 	}
 }
-
-// ParseCodec maps a -codec flag value to a speaker wire format; the
-// empty string selects the private codec.
-func ParseCodec(s string) (speaker.Codec, error) { return speaker.CodecByName(s) }
 
 // ParseSchedule maps a -schedule flag value to a schedule over n nodes.
 func ParseSchedule(s string, n int, seed int64) (protocol.Schedule, error) {

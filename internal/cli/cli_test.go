@@ -302,19 +302,3 @@ func TestParseFailureLeavesBaseUntouched(t *testing.T) {
 		t.Fatalf("period = %d (want default %d), err %v", spec.Period, base.Period, err)
 	}
 }
-
-func TestParseCodec(t *testing.T) {
-	for name, want := range map[string]string{"": "private", "private": "private", "bgp4": "bgp4"} {
-		c, err := ParseCodec(name)
-		if err != nil {
-			t.Fatalf("ParseCodec(%q): %v", name, err)
-		}
-		if c.Name() != want {
-			t.Fatalf("ParseCodec(%q).Name() = %q, want %q", name, c.Name(), want)
-		}
-	}
-	_, err := ParseCodec("bgp5")
-	if err == nil || !strings.Contains(err.Error(), "bgp5") || !strings.Contains(err.Error(), "private") {
-		t.Fatalf("unknown codec error = %v, want the name and the valid set", err)
-	}
-}

@@ -561,7 +561,7 @@ func (s *Sim) apply(ev *event) {
 		}
 		v, _, err := wire.DecodeView(ev.payload)
 		if err != nil {
-			// Includes wire.ErrNotUpdate: only UPDATEs travel as payloads.
+			// Every payload is an UPDATE this simulator encoded itself.
 			panic(fmt.Sprintf("msgsim: decode on %s -> %s: %v",
 				s.dom.Base().Name(ev.from), s.dom.Base().Name(ev.to), err))
 		}

@@ -10,32 +10,74 @@ import (
 	"repro/internal/topology"
 )
 
+// newRIB returns an empty RIB for router id with its own peer table and
+// scratch.
+func newRIB(sys *topology.System, policy protocol.Policy, id bgp.NodeID) *RIB {
+	return NewShared(sys, policy, selection.Options{}, id, nil, nil)
+}
+
 func fig14RIB(t *testing.T, name string, policy protocol.Policy) (*figures.Fig, *RIB) {
 	t.Helper()
 	f := figures.Fig14()
-	return f, New(f.Sys, policy, selection.Options{}, f.Node(name))
+	return f, newRIB(f.Sys, policy, f.Node(name))
+}
+
+// diff is the UPDATE owed to one peer.
+type diff struct{ ann, wd []bgp.PathID }
+
+// refresh runs one round the way the router core does — RecomputeBest,
+// PrepareFlush, then DiffInto and ApplyDiff for every peer — and returns
+// whether the best route moved plus the committed non-empty diffs.
+func refresh(r *RIB) (bool, map[bgp.NodeID]diff) {
+	changed := r.RecomputeBest()
+	r.PrepareFlush()
+	out := map[bgp.NodeID]diff{}
+	for _, w := range r.pg.Peers() {
+		ann, wd := r.DiffInto(w, nil, nil)
+		if len(ann) > 0 || len(wd) > 0 {
+			r.ApplyDiff(w, ann, wd)
+			out[w] = diff{ann, wd}
+		}
+	}
+	return changed, out
+}
+
+// announces reports whether the next round would announce path id to
+// peer w, without committing anything. On a RIB that has never committed
+// a diff toward w, the announcements are exactly the policy's advertise
+// set filtered by the announcement rules.
+func announces(r *RIB, id bgp.PathID, w bgp.NodeID) bool {
+	r.RecomputeBest()
+	r.PrepareFlush()
+	ann, _ := r.DiffInto(w, nil, nil)
+	for _, a := range ann {
+		if a == id {
+			return true
+		}
+	}
+	return false
 }
 
 func TestEmptyRIB(t *testing.T) {
-	f, r := fig14RIB(t, "RR1", protocol.Classic)
+	_, r := fig14RIB(t, "RR1", protocol.Classic)
 	if r.Best() != bgp.None {
 		t.Fatal("empty RIB has a best route")
 	}
-	if _, ok := r.BestRoute(); ok {
-		t.Fatal("empty RIB materialised a route")
-	}
-	if !r.Possible().Empty() || !r.MyExits().Empty() {
+	if !r.Possible().Empty() {
 		t.Fatal("empty RIB has paths")
 	}
-	if r.ID() != f.Node("RR1") {
-		t.Fatal("ID wrong")
+	if changed, diffs := refresh(r); changed || len(diffs) != 0 {
+		t.Fatalf("empty RIB refresh: changed=%v diffs=%v", changed, diffs)
+	}
+	if r.Best() != bgp.None {
+		t.Fatal("empty RIB selected a best route")
 	}
 }
 
 func TestInjectAndRefresh(t *testing.T) {
 	f, r := fig14RIB(t, "RR1", protocol.Classic)
 	r.Inject(f.Path("r1"))
-	changed, updates := r.Refresh()
+	changed, diffs := refresh(r)
 	if !changed {
 		t.Fatal("injection did not flap the best route")
 	}
@@ -43,59 +85,53 @@ func TestInjectAndRefresh(t *testing.T) {
 		t.Fatalf("best = %d", r.Best())
 	}
 	// RR1's peers are RR2 and c1; its own E-BGP route goes to both.
-	if len(updates) != 2 {
-		t.Fatalf("updates to %d peers, want 2: %+v", len(updates), updates)
+	if len(diffs) != 2 {
+		t.Fatalf("updates to %d peers, want 2: %+v", len(diffs), diffs)
 	}
-	for _, u := range updates {
-		if len(u.Announce) != 1 || u.Announce[0] != f.Path("r1") || len(u.Withdraw) != 0 {
-			t.Fatalf("update = %+v", u)
+	for w, d := range diffs {
+		if len(d.ann) != 1 || d.ann[0] != f.Path("r1") || len(d.wd) != 0 {
+			t.Fatalf("update to %d = %+v", w, d)
 		}
 	}
 	// Refresh is idempotent: no further diffs.
-	changed, updates = r.Refresh()
-	if changed || len(updates) != 0 {
-		t.Fatalf("second refresh: changed=%v updates=%v", changed, updates)
+	changed, diffs = refresh(r)
+	if changed || len(diffs) != 0 {
+		t.Fatalf("second refresh: changed=%v diffs=%v", changed, diffs)
 	}
 }
 
 func TestApplyUpdateAndWithdraw(t *testing.T) {
 	f, r := fig14RIB(t, "RR1", protocol.Classic)
+	RR2, c1 := f.Node("RR2"), f.Node("c1")
 	r.Inject(f.Path("r1"))
-	r.Refresh()
-	r.ApplyUpdate(f.Node("RR2"), []bgp.PathID{f.Path("r2")}, nil)
-	changed, _ := r.Refresh()
-	if changed {
+	refresh(r)
+	r.Learn(RR2, f.Path("r2"))
+	if changed, _ := refresh(r); changed {
 		t.Fatal("E-BGP route must stay best over the I-BGP one")
 	}
-	if !r.AdjIn(f.Node("RR2")).Contains(f.Path("r2")) {
+	if !r.adjIn[r.pg.Index(RR2)].Contains(f.Path("r2")) {
 		t.Fatal("adj-in not recorded")
 	}
 	// Withdraw our own; the peer's takes over.
 	r.WithdrawExternal(f.Path("r1"))
-	changed, updates := r.Refresh()
+	changed, diffs := refresh(r)
 	if !changed || r.Best() != f.Path("r2") {
 		t.Fatalf("best = %d after withdrawal", r.Best())
 	}
 	// r2 was learned from a non-client peer: only the client c1 hears
 	// about it; RR2 gets a plain withdrawal of r1.
-	for _, u := range updates {
-		if u.To == f.Node("RR2") {
-			if len(u.Announce) != 0 || len(u.Withdraw) != 1 {
-				t.Fatalf("update to RR2 = %+v", u)
-			}
-		}
-		if u.To == f.Node("c1") {
-			if len(u.Announce) != 1 || u.Announce[0] != f.Path("r2") {
-				t.Fatalf("update to c1 = %+v", u)
-			}
-		}
+	if d := diffs[RR2]; len(d.ann) != 0 || len(d.wd) != 1 || d.wd[0] != f.Path("r1") {
+		t.Fatalf("update to RR2 = %+v", d)
+	}
+	if d := diffs[c1]; len(d.ann) != 1 || d.ann[0] != f.Path("r2") {
+		t.Fatalf("update to c1 = %+v", d)
 	}
 }
 
 func TestApplyUpdateFromStranger(t *testing.T) {
 	f, r := fig14RIB(t, "RR1", protocol.Classic)
 	// c2 is not RR1's peer; its update must be dropped.
-	r.ApplyUpdate(f.Node("c2"), []bgp.PathID{f.Path("r2")}, nil)
+	r.Learn(f.Node("c2"), f.Path("r2"))
 	if !r.Possible().Empty() {
 		t.Fatal("update from non-peer accepted")
 	}
@@ -106,26 +142,27 @@ func TestMayAnnounceRules(t *testing.T) {
 	RR1, RR2, c1 := f.Node("RR1"), f.Node("RR2"), f.Node("c1")
 	r1, r2 := f.Path("r1"), f.Path("r2")
 
-	rr1 := New(f.Sys, protocol.Classic, selection.Options{}, RR1)
-	rr1.Inject(r1)
-	rr1.ApplyUpdate(RR2, []bgp.PathID{r2}, nil)
-
 	// Own E-BGP route: to everyone.
-	if !rr1.MayAnnounce(r1, RR2) || !rr1.MayAnnounce(r1, c1) {
+	own := newRIB(f.Sys, protocol.Classic, RR1)
+	own.Inject(r1)
+	if !announces(own, r1, RR2) || !announces(own, r1, c1) {
 		t.Fatal("own route must go to all peers")
 	}
+
 	// Learned from non-client RR2: to own clients only.
-	if rr1.MayAnnounce(r2, RR2) {
+	mesh := newRIB(f.Sys, protocol.Classic, RR1)
+	mesh.Learn(RR2, r2)
+	if announces(mesh, r2, RR2) {
 		t.Fatal("non-client route echoed to a reflector")
 	}
-	if !rr1.MayAnnounce(r2, c1) {
+	if !announces(mesh, r2, c1) {
 		t.Fatal("non-client route must reach the client")
 	}
 
 	// A client never forwards learned routes.
-	cl := New(f.Sys, protocol.Classic, selection.Options{}, c1)
-	cl.ApplyUpdate(RR1, []bgp.PathID{r1}, nil)
-	if cl.MayAnnounce(r1, RR1) {
+	cl := newRIB(f.Sys, protocol.Classic, c1)
+	cl.Learn(RR1, r1)
+	if announces(cl, r1, RR1) {
 		t.Fatal("client forwarded a learned route")
 	}
 }
@@ -145,13 +182,12 @@ func TestClientRouteReflection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := New(sys, protocol.Classic, selection.Options{}, rr)
-	r.ApplyUpdate(ca, []bgp.PathID{p}, nil)
-	r.Refresh()
-	if r.MayAnnounce(p, ca) {
+	r := newRIB(sys, protocol.Classic, rr)
+	r.Learn(ca, p)
+	if announces(r, p, ca) {
 		t.Fatal("client route echoed to originator")
 	}
-	if !r.MayAnnounce(p, cb) || !r.MayAnnounce(p, rr2) {
+	if !announces(r, p, cb) || !announces(r, p, rr2) {
 		t.Fatal("client route must be reflected to other peers")
 	}
 }
@@ -177,25 +213,24 @@ func TestDualInstanceKeepsClientClassification(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := New(sys, protocol.Classic, selection.Options{}, rr)
-	r.ApplyUpdate(ca, []bgp.PathID{p}, nil)
-	r.ApplyUpdate(rr2, []bgp.PathID{p}, nil)
-	r.Refresh()
-	if !r.MayAnnounce(p, rr2) {
+	r := newRIB(sys, protocol.Classic, rr)
+	r.Learn(ca, p)
+	r.Learn(rr2, p)
+	if !announces(r, p, rr2) {
 		t.Fatal("client-learned route withdrawn from the mesh when a redundant mesh copy arrived")
 	}
-	if r.MayAnnounce(p, ca) {
+	if announces(r, p, ca) {
 		t.Fatal("client route echoed to its originator")
 	}
-	if !r.MayAnnounce(p, cb) {
+	if !announces(r, p, cb) {
 		t.Fatal("client route must reach the sibling client")
 	}
 	// The mesh copy alone reverts to non-client rules: downward only.
-	r.ApplyUpdate(ca, nil, []bgp.PathID{p})
-	if r.MayAnnounce(p, rr2) {
+	r.Unlearn(ca, p)
+	if announces(r, p, rr2) {
 		t.Fatal("mesh-only route echoed to a reflector")
 	}
-	if !r.MayAnnounce(p, cb) {
+	if !announces(r, p, cb) {
 		t.Fatal("mesh-only route must still flow downward")
 	}
 }
@@ -221,18 +256,12 @@ func TestWaltonPolicyAdvertisesPerAS(t *testing.T) {
 		policy protocol.Policy
 		wantB  bool
 	}{{protocol.Classic, false}, {protocol.Walton, true}, {protocol.Modified, true}} {
-		r := New(sys, tc.policy, selection.Options{}, rr)
-		r.ApplyUpdate(ca, []bgp.PathID{pa}, nil)
-		r.ApplyUpdate(cb, []bgp.PathID{pb}, nil)
-		_, updates := r.Refresh()
-		var toRR2 []bgp.PathID
-		for _, u := range updates {
-			if u.To == rr2 {
-				toRR2 = u.Announce
-			}
-		}
+		r := newRIB(sys, tc.policy, rr)
+		r.Learn(ca, pa)
+		r.Learn(cb, pb)
+		_, diffs := refresh(r)
 		hasA, hasB := false, false
-		for _, id := range toRR2 {
+		for _, id := range diffs[rr2].ann {
 			if id == pa {
 				hasA = true
 			}
@@ -250,18 +279,24 @@ func TestWaltonPolicyAdvertisesPerAS(t *testing.T) {
 }
 
 func TestLearnedFromPrefersLowestPeerID(t *testing.T) {
-	// When two peers advertise the same path, attribution uses the
-	// smaller BGP identifier; with a TieBreak it is fixed.
+	// When two peers advertise the same path, the route the decision
+	// process compares is attributed to the smaller BGP identifier; with a
+	// TieBreak the attribution is fixed.
 	f := figures.Fig2()
-	RR1 := f.Node("RR1")
-	r := New(f.Sys, protocol.Classic, selection.Options{}, RR1)
-	r.ApplyUpdate(f.Node("c1"), []bgp.PathID{f.Path("r1")}, nil)
-	r.Refresh()
-	route, ok := r.BestRoute()
-	if !ok {
-		t.Fatal("no best route")
+	RR1, RR2, c1 := f.Node("RR1"), f.Node("RR2"), f.Node("c1")
+	r := newRIB(f.Sys, protocol.Classic, RR1)
+	r.Learn(c1, f.Path("r1"))
+	r.Learn(RR2, f.Path("r1"))
+	if !r.RecomputeBest() || r.Best() != f.Path("r1") {
+		t.Fatalf("best = %d", r.Best())
 	}
-	if route.LearnedFrom != f.Sys.BGPID(f.Node("c1")) {
-		t.Fatalf("learnedFrom = %d", route.LearnedFrom)
+	want := min(f.Sys.BGPID(c1), f.Sys.BGPID(RR2))
+	if len(r.scr.cands) != 1 || r.scr.cands[0].LearnedFrom != want {
+		t.Fatalf("candidates %+v, want one attributed to BGP ID %d", r.scr.cands, want)
+	}
+	p := f.Sys.Exit(f.Path("r1"))
+	p.TieBreak = want + 7
+	if got := r.learnedFrom(p); got != want+7 {
+		t.Fatalf("learnedFrom with TieBreak %d = %d", p.TieBreak, got)
 	}
 }

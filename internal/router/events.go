@@ -48,8 +48,8 @@ const (
 	NotificationReceived
 	// BadFrame fires when an inbound message fails to decode (corrupt
 	// marker, bad length or type, malformed attributes) and the session is
-	// torn down; under a codec that supports it, a NOTIFICATION with Code
-	// and Subcode is sent back first.
+	// torn down; when the error maps to a NOTIFICATION, one with Code and
+	// Subcode is sent back first.
 	BadFrame
 	// HoldExpired fires when the negotiated hold time elapses with no
 	// message from the peer (RFC 4271 §6.5); the session sends a

@@ -1,7 +1,7 @@
 // Package speaker runs an autonomous system's I-BGP speakers as real
 // concurrent processes: one goroutine-backed speaker per router, TCP
 // sessions on the loopback interface between every I-BGP peer pair, and
-// the wire protocol of package wire on the sessions. The per-router
+// real BGP-4 (package bgp4) on the sessions. The per-router
 // operational behaviour — RIB maintenance, refresh, per-peer diff and
 // coalesce, MRAI pacing — is the shared core of package router, so this
 // substrate executes exactly the same decision process as the
@@ -27,7 +27,14 @@ import (
 	"repro/internal/selection"
 	"repro/internal/topology"
 	"repro/internal/wire"
+	"repro/internal/wire/bgp4"
 )
+
+// LocalAS is the autonomous system number of the one AS every network of
+// speakers models (the paper's setting is a single AS running I-BGP). It
+// is in the RFC 6996 private range so a speaker can face real stacks
+// without squatting on an allocated number.
+const LocalAS = 64512
 
 // dropRTO is the retry backoff after a fault-dropped message, mirroring
 // msgsim's virtual-tick RTO: the sender re-runs refresh and re-sends what
@@ -79,17 +86,11 @@ var outBufPool = sync.Pool{
 	},
 }
 
-// encodeOut frames one UPDATE into a pooled buffer using the session's
-// codec.
-func (sess *session) encodeOut(upd *wire.Update) (*[]byte, error) {
+// encodeOut frames one UPDATE into a pooled buffer.
+func (sess *session) encodeOut(upd *wire.Update) *[]byte {
 	bp := outBufPool.Get().(*[]byte)
-	b, err := sess.codec.AppendUpdate((*bp)[:0], upd)
-	if err != nil {
-		outBufPool.Put(bp)
-		return nil, err
-	}
-	*bp = b
-	return bp, nil
+	*bp = sess.proto.AppendUpdate((*bp)[:0], upd)
+	return bp
 }
 
 // recycleOut returns a consumed message buffer to the pool.
@@ -102,7 +103,7 @@ func recycleOut(bp *[]byte) { outBufPool.Put(bp) }
 type session struct {
 	peer  bgp.NodeID
 	conn  net.Conn
-	codec SessionCodec
+	proto *bgp4.Session
 	outQ  chan outMsg
 
 	stop      chan struct{} // closed when this incarnation is torn down
@@ -119,11 +120,11 @@ type session struct {
 	downPosted atomic.Bool
 }
 
-func newSession(peer bgp.NodeID, conn net.Conn, codec SessionCodec) *session {
+func newSession(peer bgp.NodeID, conn net.Conn, proto *bgp4.Session) *session {
 	return &session{
 		peer:      peer,
 		conn:      conn,
-		codec:     codec,
+		proto:     proto,
 		outQ:      make(chan outMsg, 1024),
 		stop:      make(chan struct{}),
 		readDone:  make(chan struct{}),
@@ -193,11 +194,9 @@ type Network struct {
 	speakers []*Speaker
 	plan     *faults.Plan
 
-	// codec selects the wire format for every session (default private);
-	// holdTime is the locally proposed hold time for codecs that
-	// negotiate one. noKeepalives suppresses keepalive generation while
-	// keeping the hold timer armed — a test hook for forcing expiry.
-	codec        Codec
+	// holdTime is the locally proposed session hold time. noKeepalives
+	// suppresses keepalive generation while keeping the hold timer armed —
+	// a test hook for forcing expiry.
 	holdTime     time.Duration
 	noKeepalives bool
 
@@ -234,7 +233,7 @@ func NewMulti(systems map[uint32]*topology.System, policy protocol.Policy, opts 
 	if err != nil {
 		return nil, fmt.Errorf("speaker: %w", err)
 	}
-	n := &Network{dom: dom, codec: PrivateCodec, holdTime: defaultHoldTime}
+	n := &Network{dom: dom, holdTime: defaultHoldTime}
 	for u := 0; u < dom.Base().N(); u++ {
 		sp := &Speaker{
 			net:      n,
@@ -269,25 +268,12 @@ func (n *Network) MessagesDropped() int { return int(n.counters.Dropped.Load()) 
 // Counters returns the shared operational counters at this instant.
 func (n *Network) Counters() router.Snapshot { return n.counters.Snapshot() }
 
-// defaultHoldTime is the hold time proposed on codecs that negotiate one
-// (RFC 4271 suggests 90 seconds).
+// defaultHoldTime is the proposed session hold time (RFC 4271 suggests
+// 90 seconds).
 const defaultHoldTime = 90 * time.Second
 
-// SetCodec selects the wire format for every session. Call before Start;
-// nil restores the private codec.
-func (n *Network) SetCodec(c Codec) {
-	if c == nil {
-		c = PrivateCodec
-	}
-	n.codec = c
-}
-
-// CodecName returns the name of the wire format in use.
-func (n *Network) CodecName() string { return n.codec.Name() }
-
-// SetHoldTime sets the locally proposed session hold time for codecs that
-// negotiate one (0 disables the hold timer and keepalives). Call before
-// Start.
+// SetHoldTime sets the locally proposed session hold time (0 disables the
+// hold timer and keepalives). Call before Start.
 func (n *Network) SetHoldTime(d time.Duration) { n.holdTime = d }
 
 // DisableKeepalives stops the speakers from generating keepalives while
@@ -295,24 +281,24 @@ func (n *Network) SetHoldTime(d time.Duration) { n.holdTime = d }
 // expiry on an otherwise healthy session. Call before Start.
 func (n *Network) DisableKeepalives() { n.noKeepalives = true }
 
-// newSessionCodec builds the per-session codec state for the session
-// local->peer (peer -1 on the accept side, where the handshake discovers
-// it). The returned NodeID pointer is the loop-detection callback's view
-// of the peer: the accept path must store the discovered peer through it
-// before launching the session loops.
-func (n *Network) newSessionCodec(local, peer bgp.NodeID) (SessionCodec, *bgp.NodeID) {
+// newBGPSession builds the BGP-4 session state for the session
+// local->peer (peer -1 on the accept side, where the OPEN exchange
+// discovers it). The returned NodeID pointer is the loop-detection
+// callback's view of the peer: the accept path must store the discovered
+// peer through it before launching the session loops.
+func (n *Network) newBGPSession(local, peer bgp.NodeID) (*bgp4.Session, *bgp.NodeID) {
 	sys := n.dom.Base()
 	peerRef := new(bgp.NodeID)
 	*peerRef = peer
 	localID := uint32(sys.BGPID(local))
-	info := SessionInfo{
-		LocalNode:  local,
-		PeerNode:   peer,
-		LocalAS:    LocalAS,
-		LocalBGPID: localID,
-		ClusterID:  localID,
-		HoldTime:   n.holdTime,
-		BGPIDOf: func(u bgp.NodeID) (uint32, bool) {
+	return bgp4.NewSession(bgp4.SessionConfig{
+		LocalAS:   LocalAS,
+		LocalID:   localID,
+		NodeID:    uint32(local),
+		ClusterID: localID,
+		HoldTime:  n.holdTime,
+		OriginatorID: func(exitPoint uint32) (uint32, bool) {
+			u := bgp.NodeID(exitPoint)
 			if int(u) < 0 || int(u) >= sys.N() {
 				return 0, false
 			}
@@ -323,8 +309,24 @@ func (n *Network) newSessionCodec(local, peer bgp.NodeID) (SessionCodec, *bgp.No
 			n.dispatch(router.Event{Kind: router.RouteLoop, Time: n.now(),
 				Node: local, Peer: *peerRef, Prefix: prefix, Path: bgp.PathID(path)})
 		},
+	}), peerRef
+}
+
+// establish runs the OPEN exchange on conn and returns the peer's node
+// index from its node-ID capability, which must equal want unless want
+// is -1 (the accept side).
+func establish(s *bgp4.Session, conn net.Conn, want bgp.NodeID) (bgp.NodeID, error) {
+	if err := s.Establish(conn); err != nil {
+		return 0, err
 	}
-	return n.codec.NewSession(info), peerRef
+	peer := s.Peer()
+	if !peer.HasNodeID {
+		return 0, errors.New("speaker: peer did not advertise the node-ID capability")
+	}
+	if want >= 0 && bgp.NodeID(peer.NodeID) != want {
+		return 0, fmt.Errorf("speaker: peer identifies as node %d, expected %d", peer.NodeID, want)
+	}
+	return bgp.NodeID(peer.NodeID), nil
 }
 
 // SetMRAI sets the minimum route advertisement interval on every speaker,
@@ -449,7 +451,7 @@ func (n *Network) Start() error {
 		to    int
 		conn  net.Conn
 		peer  bgp.NodeID
-		codec SessionCodec
+		proto *bgp4.Session
 		err   error
 	}
 	expect := make([]int, len(n.speakers))
@@ -475,11 +477,10 @@ func (n *Network) Start() error {
 					acceptCh <- accepted{to: i, err: err}
 					return
 				}
-				// The codec handshake learns who dialed (the private
-				// codec from the OPEN's node field, bgp4 from the
-				// node-ID capability of its full OPEN exchange).
-				sc, peerRef := n.newSessionCodec(bgp.NodeID(i), -1)
-				peer, err := sc.Handshake(conn, false)
+				// The OPEN exchange learns who dialed from the peer's
+				// node-ID capability.
+				bs, peerRef := n.newBGPSession(bgp.NodeID(i), -1)
+				peer, err := establish(bs, conn, -1)
 				if err != nil {
 					conn.Close()
 					acceptCh <- accepted{to: i, err: err}
@@ -488,7 +489,7 @@ func (n *Network) Start() error {
 				// Store the discovered peer before the session loops
 				// start; the loop-detection callback reads through it.
 				*peerRef = peer
-				acceptCh <- accepted{to: i, conn: conn, peer: peer, codec: sc}
+				acceptCh <- accepted{to: i, conn: conn, peer: peer, proto: bs}
 			}
 		}(i, ln, expect[i])
 	}
@@ -505,19 +506,13 @@ func (n *Network) Start() error {
 				dialErr = err
 				break
 			}
-			sc, _ := n.newSessionCodec(bgp.NodeID(u), v)
-			peer, err := sc.Handshake(conn, true)
-			if err != nil {
+			bs, _ := n.newBGPSession(bgp.NodeID(u), v)
+			if _, err := establish(bs, conn, v); err != nil {
 				conn.Close()
-				dialErr = err
+				dialErr = fmt.Errorf("speaker: dialing %s: %w", sys.Name(v), err)
 				break
 			}
-			if peer != v {
-				conn.Close()
-				dialErr = fmt.Errorf("speaker: dialed %s but peer identifies as node %d", sys.Name(v), peer)
-				break
-			}
-			n.speakers[u].sessions[v] = newSession(v, conn, sc)
+			n.speakers[u].sessions[v] = newSession(v, conn, bs)
 		}
 	}
 	acceptWG.Wait()
@@ -527,7 +522,7 @@ func (n *Network) Start() error {
 			dialErr = a.err
 		}
 		if a.conn != nil {
-			n.speakers[a.to].sessions[a.peer] = newSession(a.peer, a.conn, a.codec)
+			n.speakers[a.to].sessions[a.peer] = newSession(a.peer, a.conn, a.proto)
 		}
 	}
 	if dialErr != nil {
@@ -582,12 +577,12 @@ func (s *Speaker) start() {
 }
 
 // startSession launches one session incarnation's read and write loops,
-// plus the keepalive generator when the codec negotiated a hold time.
+// plus the keepalive generator when the session negotiated a hold time.
 func (s *Speaker) startSession(sess *session) {
 	s.wg.Add(2)
 	go s.readLoop(sess)
 	go s.writeLoop(sess)
-	if hold := sess.codec.HoldTime(); hold > 0 && !s.net.noKeepalives {
+	if hold := sess.proto.HoldTime(); hold > 0 && !s.net.noKeepalives {
 		s.wg.Add(1)
 		go s.keepaliveLoop(sess, hold/3)
 	}
@@ -608,7 +603,7 @@ func (s *Speaker) keepaliveLoop(sess *session, interval time.Duration) {
 			return
 		case <-t.C:
 			bp := outBufPool.Get().(*[]byte)
-			*bp = sess.codec.AppendKeepalive((*bp)[:0])
+			*bp = bgp4.AppendKeepalive((*bp)[:0])
 			select {
 			case sess.outQ <- outMsg{buf: bp, at: time.Now(), ctrl: true}:
 			default:
@@ -634,7 +629,7 @@ func (s *Speaker) postPeerDown(sess *session) {
 // the write loop closes the connection right after it (RFC 4271 §6).
 func (s *Speaker) sendNotification(sess *session, note wire.Notification) {
 	bp := outBufPool.Get().(*[]byte)
-	*bp = sess.codec.AppendNotification((*bp)[:0], note)
+	*bp = sess.proto.AppendNotification((*bp)[:0], note)
 	select {
 	case sess.outQ <- outMsg{buf: bp, at: time.Now(), ctrl: true, closeAfter: true}:
 	default:
@@ -665,7 +660,7 @@ func (s *Speaker) readLoop(sess *session) {
 	defer s.wg.Done()
 	defer close(sess.readDone)
 	for {
-		msg, err := sess.codec.ReadMessage()
+		msg, err := sess.proto.ReadMessage()
 		if err != nil {
 			if s.teardownCaused(sess) {
 				return // own Stop or fault reset: accounted elsewhere
@@ -684,12 +679,12 @@ func (s *Speaker) readLoop(sess *session) {
 				// Clean close or transport loss: peer down, nothing to say.
 				s.postPeerDown(sess)
 			default:
-				// Corrupt frame: count it, surface it, and (when the codec
-				// maps the error to a NOTIFICATION) tell the peer before
-				// tearing down. Conflating this with clean EOF previously
-				// made corruption invisible.
+				// Corrupt frame: count it, surface it, and (when the error
+				// maps to a NOTIFICATION) tell the peer before tearing
+				// down. Conflating this with clean EOF previously made
+				// corruption invisible.
 				s.net.counters.BadFrames.Add(1)
-				note, hasNote := sess.codec.NotificationFor(err)
+				note, hasNote := bgp4.NotificationFor(err)
 				s.net.dispatch(router.Event{Kind: router.BadFrame, Time: s.net.now(),
 					Node: s.id, Peer: sess.peer, Code: note.Code, Subcode: note.Subcode})
 				if hasNote {
@@ -709,8 +704,8 @@ func (s *Speaker) readLoop(sess *session) {
 			case <-s.done:
 				return
 			}
-		case wire.Keepalive, wire.Open:
-			// Liveness / duplicate OPEN: ignored.
+		case wire.Keepalive:
+			// Liveness: the read itself re-armed the hold timer.
 		case wire.Notification:
 			// The peer closed the session with a stated reason: surface it
 			// as a typed event and flush like any other session death. The
@@ -910,11 +905,7 @@ func (s *Speaker) send(w bgp.NodeID, upd *wire.Update) (int64, error) {
 	// Encode now, into a pooled buffer: upd points at the core's reusable
 	// refresh scratch, which the next flush overwrites, so the bytes must
 	// be taken before the message crosses onto the session goroutine.
-	bp, err := sess.encodeOut(upd)
-	if err != nil {
-		s.scheduleRetry(w)
-		return -1, fmt.Errorf("speaker: encode for %d: %w", w, err)
-	}
+	bp := sess.encodeOut(upd)
 	// Reorder fates are ignored: the TCP byte stream cannot reorder.
 	if !enqueueOut(sess, bp, at) {
 		recycleOut(bp)
@@ -1091,29 +1082,24 @@ func (n *Network) reopenSession(r faults.Reset) {
 		connA.Close()
 		return
 	}
-	// Re-establish the session at the codec level too: both ends run
-	// their handshake concurrently (bgp4's OPEN exchange is symmetric and
-	// would deadlock run back to back on one goroutine).
-	scA, _ := n.newSessionCodec(r.A, r.B)
-	scB, _ := n.newSessionCodec(r.B, r.A)
-	type hs struct {
-		peer bgp.NodeID
-		err  error
-	}
-	hch := make(chan hs, 1)
+	// Re-establish the BGP-4 session too: both ends run their OPEN
+	// exchange concurrently (it is symmetric and would deadlock run back
+	// to back on one goroutine).
+	bsA, _ := n.newBGPSession(r.A, r.B)
+	bsB, _ := n.newBGPSession(r.B, r.A)
+	errB := make(chan error, 1)
 	go func() {
-		peer, err := scB.Handshake(rb.conn, false)
-		hch <- hs{peer, err}
+		_, err := establish(bsB, rb.conn, r.A)
+		errB <- err
 	}()
-	peerA, errA := scA.Handshake(connA, true)
-	hb := <-hch
-	if errA != nil || hb.err != nil || peerA != r.B || hb.peer != r.A {
+	_, errA := establish(bsA, connA, r.B)
+	if err := <-errB; errA != nil || err != nil {
 		connA.Close()
 		rb.conn.Close()
 		return // leave the session down; dead sessions still quiesce
 	}
-	n.speakers[r.A].installSession(newSession(r.B, connA, scA))
-	n.speakers[r.B].installSession(newSession(r.A, rb.conn, scB))
+	n.speakers[r.A].installSession(newSession(r.B, connA, bsA))
+	n.speakers[r.B].installSession(newSession(r.A, rb.conn, bsB))
 	n.speakers[r.A].post(inbound{peerUp: &r.B})
 	n.speakers[r.B].post(inbound{peerUp: &r.A})
 }

@@ -6,17 +6,18 @@
 // (ADD-PATH), which real-world deployments use exactly where the paper's
 // Modified protocol needs them: to advertise the full MED-survivor set.
 //
-// The package is a second codec behind the private format of package wire:
-// it encodes and decodes the same logical messages (wire.Open, wire.Update,
-// wire.Notification, wire.Keepalive), so the TCP speakers can run either
-// format over the identical router core. A logical coalesced UPDATE whose
-// records carry different attribute values cannot ride a single BGP-4
-// UPDATE (one message has one attribute set), so the encoder splits it into
-// runs of attribute-equal records, one frame per run, chained by a
-// continuation flag inside the EXIT_META development attribute; the
-// session reader reassembles the chain into one logical wire.Update, which
-// is what keeps the typed-event streams and quiescence ledger identical
-// across codecs.
+// It is the only format the TCP speakers (package speaker) put on their
+// sessions: Session decodes the stream into the logical messages of
+// package wire (wire.Update, wire.Keepalive, wire.Notification) that the
+// shared router core consumes, and encodes the core's wire.Update values
+// back onto the stream. A logical coalesced UPDATE whose records carry
+// different attribute values cannot ride a single BGP-4 UPDATE (one
+// message has one attribute set), so the encoder splits it into runs of
+// attribute-equal records, one frame per run, chained by a continuation
+// flag inside the EXIT_META development attribute; the session reader
+// reassembles the chain into one logical wire.Update, which is what keeps
+// the speakers' typed-event streams and quiescence ledger identical to the
+// message-level simulator's.
 //
 // Layout fidelity is pinned by golden hexdump fixtures (testdata/*.hex)
 // and a decode fuzzer; loop detection per RFC 4456 §8 (own BGP identifier

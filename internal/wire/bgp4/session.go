@@ -275,9 +275,6 @@ func (s *Session) AppendUpdate(buf []byte, u *wire.Update) []byte {
 	return s.enc.Append(buf, u)
 }
 
-// AppendKeepalive frames one KEEPALIVE onto buf.
-func (s *Session) AppendKeepalive(buf []byte) []byte { return AppendKeepalive(buf) }
-
 // AppendNotification frames one NOTIFICATION onto buf.
 func (s *Session) AppendNotification(buf []byte, n wire.Notification) []byte {
 	return AppendNotification(buf, Notification{Code: n.Code, Subcode: n.Subcode})

@@ -109,7 +109,7 @@ func TestSessionUpdateExchange(t *testing.T) {
 		t.Fatal("update rode a single frame; test needs a chain")
 	}
 	mixed := append([]byte(nil), buf[:first]...)
-	mixed = sa.AppendKeepalive(mixed)
+	mixed = AppendKeepalive(mixed)
 	mixed = append(mixed, buf[first:]...)
 	if _, err := connA.Write(mixed); err != nil {
 		t.Fatal(err)
@@ -129,7 +129,7 @@ func TestSessionUpdateExchange(t *testing.T) {
 
 func TestSessionKeepaliveAndNotification(t *testing.T) {
 	sa, sb, connA, _ := establishPair(t, sessionConfig(64512, 11, 1), sessionConfig(64512, 22, 2))
-	if _, err := connA.Write(sa.AppendKeepalive(nil)); err != nil {
+	if _, err := connA.Write(AppendKeepalive(nil)); err != nil {
 		t.Fatal(err)
 	}
 	if msg, err := sb.ReadMessage(); err != nil {

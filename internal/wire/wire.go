@@ -1,32 +1,31 @@
-// Package wire defines a compact BGP-flavoured wire protocol for the TCP
-// speakers of package speaker. The format follows BGP-4's framing idea —
-// a fixed header carrying a marker, a length and a message type — with an
-// UPDATE body specialised to the paper's single-destination model: a list
-// of withdrawn exit-path identifiers plus a list of announced exit paths
-// with their full selection attributes.
+// Package wire defines the logical routing messages every substrate's
+// router core exchanges, and the compact in-memory UPDATE format the
+// message-level simulator (package msgsim) carries them in.
 //
-// The UPDATE carries whole route records (not just identifiers) so that a
-// receiving speaker never needs out-of-band knowledge of the sender's
-// routes, and it carries *multiple* routes per message because the paper's
-// modified protocol advertises the full MED-survivor set.
+// An Update carries whole route records (not just identifiers) so that a
+// receiver never needs out-of-band knowledge of the sender's routes, and
+// it carries *multiple* routes per message because the paper's modified
+// protocol advertises the full MED-survivor set. Keepalive and
+// Notification are the session-level messages the TCP speakers' BGP-4
+// reader (package bgp4) returns alongside updates; they have no encoding
+// here.
+//
+// The UPDATE frame follows BGP-4's framing idea — a fixed header carrying
+// a marker, a length and a message type — with a body specialised to the
+// model: a list of withdrawn routes plus a list of announced routes with
+// their full selection attributes.
 package wire
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 
 	"repro/internal/bgp"
 )
 
-// Message types, numbered as in BGP-4.
-const (
-	TypeOpen         = 1
-	TypeUpdate       = 2
-	TypeNotification = 3
-	TypeKeepalive    = 4
-)
+// TypeUpdate is the header's message type, numbered as in BGP-4.
+const TypeUpdate = 2
 
 // Marker opens every message, standing in for BGP's all-ones marker.
 var Marker = [4]byte{'I', 'B', 'G', 'P'}
@@ -37,26 +36,13 @@ const MaxMessageSize = 65535
 // headerSize is marker + length (uint16) + type (uint8).
 const headerSize = 4 + 2 + 1
 
-// Version is the protocol version carried in OPEN.
-const Version = 1
-
 // Errors returned by the decoder.
 var (
-	ErrBadMarker  = errors.New("wire: bad marker")
-	ErrBadLength  = errors.New("wire: bad length")
-	ErrBadType    = errors.New("wire: unknown message type")
-	ErrTruncated  = errors.New("wire: truncated message body")
-	ErrBadVersion = errors.New("wire: unsupported version")
+	ErrBadMarker = errors.New("wire: bad marker")
+	ErrBadLength = errors.New("wire: bad length")
+	ErrBadType   = errors.New("wire: unknown message type")
+	ErrTruncated = errors.New("wire: truncated message body")
 )
-
-// Open is the session-establishment message.
-type Open struct {
-	Version uint8
-	// BGPID is the speaker's BGP identifier (tie-break value).
-	BGPID uint32
-	// NodeID is the speaker's node index within the shared topology.
-	NodeID uint32
-}
 
 // RouteRecord is one announced route inside an Update, carrying the
 // destination prefix it belongs to and every attribute the selection
@@ -129,48 +115,18 @@ type Notification struct {
 // Keepalive is the empty liveness message.
 type Keepalive struct{}
 
-// Message is one of Open, Update, Notification, Keepalive.
-type Message interface{ wireType() byte }
+// Message is one of Update, Notification, Keepalive.
+type Message interface{ isMessage() }
 
-func (Open) wireType() byte         { return TypeOpen }
-func (Update) wireType() byte       { return TypeUpdate }
-func (Notification) wireType() byte { return TypeNotification }
-func (Keepalive) wireType() byte    { return TypeKeepalive }
-
-// appendHeader writes the fixed message header for a body of bodyLen bytes.
-func appendHeader(buf []byte, typ byte, bodyLen int) []byte {
-	buf = append(buf, Marker[:]...)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(headerSize+bodyLen))
-	return append(buf, typ)
-}
-
-// Append serialises msg onto buf and returns the extended slice. It writes
-// directly into buf — no intermediate body buffer — so a caller that reuses
-// its buffer (buf[:0]) pays no allocation once the buffer has grown to the
-// message size. UPDATE senders on hot paths should call AppendUpdate, which
-// also avoids boxing the message into the Message interface.
-func Append(buf []byte, msg Message) ([]byte, error) {
-	switch m := msg.(type) {
-	case Open:
-		buf = appendHeader(buf, TypeOpen, 9)
-		buf = append(buf, m.Version)
-		buf = binary.BigEndian.AppendUint32(buf, m.BGPID)
-		return binary.BigEndian.AppendUint32(buf, m.NodeID), nil
-	case Update:
-		return AppendUpdate(buf, &m)
-	case Notification:
-		return append(appendHeader(buf, TypeNotification, 2), m.Code, m.Subcode), nil
-	case Keepalive:
-		return appendHeader(buf, TypeKeepalive, 0), nil
-	default:
-		return nil, fmt.Errorf("wire: unsupported message %T", msg)
-	}
-}
+func (Update) isMessage()       {}
+func (Notification) isMessage() {}
+func (Keepalive) isMessage()    {}
 
 // AppendUpdate serialises one UPDATE onto buf and returns the extended
-// slice. This is the pooled-encode entry point of the zero-alloc wire path:
-// unlike Append it takes the update by pointer (no interface boxing) and,
-// like Append, writes straight into buf.
+// slice. It writes directly into buf — no intermediate body buffer — so a
+// caller that reuses its buffer (buf[:0]) pays no allocation once the
+// buffer has grown to the message size: the pooled-encode entry point of
+// the zero-alloc wire path.
 func AppendUpdate(buf []byte, m *Update) ([]byte, error) {
 	if len(m.Withdrawn) > 0xffff || len(m.Announced) > 0xffff {
 		return nil, ErrBadLength
@@ -179,7 +135,9 @@ func AppendUpdate(buf []byte, m *Update) ([]byte, error) {
 	if headerSize+bodyLen > MaxMessageSize {
 		return nil, ErrBadLength
 	}
-	buf = appendHeader(buf, TypeUpdate, bodyLen)
+	buf = append(buf, Marker[:]...)
+	buf = binary.BigEndian.AppendUint16(buf, uint16(headerSize+bodyLen))
+	buf = append(buf, TypeUpdate)
 	buf = binary.BigEndian.AppendUint16(buf, uint16(len(m.Withdrawn)))
 	for _, wd := range m.Withdrawn {
 		buf = binary.BigEndian.AppendUint32(buf, wd.Prefix)
@@ -201,29 +159,32 @@ func AppendUpdate(buf []byte, m *Update) ([]byte, error) {
 	return buf, nil
 }
 
-// Encode serialises msg into a fresh buffer.
-func Encode(msg Message) ([]byte, error) { return Append(nil, msg) }
+// Encode serialises u into a fresh buffer.
+func Encode(u Update) ([]byte, error) { return AppendUpdate(nil, &u) }
 
-// frame validates the fixed header and returns the message type, body
-// bytes and total framed length. Shared by Decode and DecodeView so both
-// enforce identical bounds.
-func frame(data []byte) (typ byte, body []byte, total int, err error) {
+// frame validates the fixed header and returns the UPDATE body bytes and
+// total framed length. Shared by Decode and DecodeView so both enforce
+// identical bounds.
+func frame(data []byte) (body []byte, total int, err error) {
 	if len(data) < headerSize {
-		return 0, nil, 0, ErrTruncated
+		return nil, 0, ErrTruncated
 	}
 	for i := range Marker {
 		if data[i] != Marker[i] {
-			return 0, nil, 0, ErrBadMarker
+			return nil, 0, ErrBadMarker
 		}
 	}
 	total = int(binary.BigEndian.Uint16(data[4:6]))
 	if total < headerSize {
-		return 0, nil, 0, ErrBadLength
+		return nil, 0, ErrBadLength
 	}
 	if len(data) < total {
-		return 0, nil, 0, ErrTruncated
+		return nil, 0, ErrTruncated
 	}
-	return data[6], data[headerSize:total], total, nil
+	if data[6] != TypeUpdate {
+		return nil, 0, ErrBadType
+	}
+	return data[headerSize:total], total, nil
 }
 
 // splitUpdateBody validates an UPDATE body's declared counts against its
@@ -276,66 +237,34 @@ func decodeRecord(b []byte) RouteRecord {
 	}
 }
 
-// Decode parses one message from data and returns it along with the number
+// Decode parses one UPDATE from data and returns it along with the number
 // of bytes consumed. It never panics on malformed input.
-func Decode(data []byte) (Message, int, error) {
-	typ, body, total, err := frame(data)
+func Decode(data []byte) (Update, int, error) {
+	body, total, err := frame(data)
 	if err != nil {
-		return nil, 0, err
+		return Update{}, 0, err
 	}
-	switch typ {
-	case TypeOpen:
-		if len(body) != 9 {
-			return nil, 0, ErrBadLength
-		}
-		m := Open{
-			Version: body[0],
-			BGPID:   binary.BigEndian.Uint32(body[1:5]),
-			NodeID:  binary.BigEndian.Uint32(body[5:9]),
-		}
-		if m.Version != Version {
-			return nil, 0, ErrBadVersion
-		}
-		return m, total, nil
-	case TypeUpdate:
-		wd, ann, err := splitUpdateBody(body)
-		if err != nil {
-			return nil, 0, err
-		}
-		// The declared counts were validated against the body length, so the
-		// slices pre-size exactly instead of append-growing from nil.
-		m := Update{}
-		if nw := len(wd) / withdrawnSize; nw > 0 {
-			m.Withdrawn = make([]WithdrawnRoute, nw)
-			for i := range m.Withdrawn {
-				m.Withdrawn[i] = decodeWithdrawn(wd[withdrawnSize*i:])
-			}
-		}
-		if na := len(ann) / routeRecordSize; na > 0 {
-			m.Announced = make([]RouteRecord, na)
-			for i := range m.Announced {
-				m.Announced[i] = decodeRecord(ann[routeRecordSize*i:])
-			}
-		}
-		return m, total, nil
-	case TypeNotification:
-		if len(body) != 2 {
-			return nil, 0, ErrBadLength
-		}
-		return Notification{Code: body[0], Subcode: body[1]}, total, nil
-	case TypeKeepalive:
-		if len(body) != 0 {
-			return nil, 0, ErrBadLength
-		}
-		return Keepalive{}, total, nil
-	default:
-		return nil, 0, ErrBadType
+	wd, ann, err := splitUpdateBody(body)
+	if err != nil {
+		return Update{}, 0, err
 	}
+	// The declared counts were validated against the body length, so the
+	// slices pre-size exactly instead of append-growing from nil.
+	m := Update{}
+	if nw := len(wd) / withdrawnSize; nw > 0 {
+		m.Withdrawn = make([]WithdrawnRoute, nw)
+		for i := range m.Withdrawn {
+			m.Withdrawn[i] = decodeWithdrawn(wd[withdrawnSize*i:])
+		}
+	}
+	if na := len(ann) / routeRecordSize; na > 0 {
+		m.Announced = make([]RouteRecord, na)
+		for i := range m.Announced {
+			m.Announced[i] = decodeRecord(ann[routeRecordSize*i:])
+		}
+	}
+	return m, total, nil
 }
-
-// ErrNotUpdate is returned by DecodeView for a well-framed message of any
-// type other than UPDATE; callers needing those fall back to Decode.
-var ErrNotUpdate = errors.New("wire: not an UPDATE message")
 
 // UpdateView is a zero-copy read view over one framed UPDATE. The framing
 // and the declared counts are validated once by DecodeView; after that the
@@ -354,19 +283,11 @@ type UpdateView struct {
 
 // DecodeView parses one UPDATE from data without materialising it and
 // returns the view along with the number of bytes consumed. Framing and
-// count validation are exactly Decode's; a well-framed message of another
-// type returns ErrNotUpdate.
+// count validation are exactly Decode's.
 func DecodeView(data []byte) (UpdateView, int, error) {
-	typ, body, total, err := frame(data)
+	body, total, err := frame(data)
 	if err != nil {
 		return UpdateView{}, 0, err
-	}
-	switch typ {
-	case TypeUpdate:
-	case TypeOpen, TypeNotification, TypeKeepalive:
-		return UpdateView{}, 0, ErrNotUpdate
-	default:
-		return UpdateView{}, 0, ErrBadType
 	}
 	wd, ann, err := splitUpdateBody(body)
 	if err != nil {
@@ -501,72 +422,4 @@ func (u *Update) Validate(lookup func(prefix uint32) System) error {
 // whatever prefix it carries, is checked against sys.
 func (u *Update) ValidateFor(sys System) error {
 	return u.Validate(func(uint32) System { return sys })
-}
-
-// Writer frames messages onto an io.Writer.
-type Writer struct {
-	w   io.Writer
-	buf []byte
-}
-
-// NewWriter returns a message writer over w.
-func NewWriter(w io.Writer) *Writer { return &Writer{w: w} }
-
-// WriteMessage serialises and writes one message.
-func (w *Writer) WriteMessage(msg Message) error {
-	var err error
-	w.buf, err = Append(w.buf[:0], msg)
-	if err != nil {
-		return err
-	}
-	_, err = w.w.Write(w.buf)
-	return err
-}
-
-// Reader deframes messages from an io.Reader.
-type Reader struct {
-	r   io.Reader
-	hdr [headerSize]byte
-	buf []byte
-}
-
-// NewReader returns a message reader over r.
-func NewReader(r io.Reader) *Reader { return &Reader{r: r} }
-
-// ReadMessage reads exactly one message, blocking as needed. It returns
-// io.EOF cleanly only when the stream ends between messages; a stream cut
-// anywhere inside a frame — even exactly on the header/body boundary — is
-// ErrTruncated, so callers never mistake a severed frame for a clean
-// close. The marker is validated before the declared length is trusted:
-// mid-stream garbage fails as ErrBadMarker instead of triggering a bogus
-// up-to-64KiB body read.
-func (r *Reader) ReadMessage() (Message, error) {
-	if _, err := io.ReadFull(r.r, r.hdr[:]); err != nil {
-		if errors.Is(err, io.ErrUnexpectedEOF) {
-			return nil, ErrTruncated
-		}
-		return nil, err
-	}
-	for i := range Marker {
-		if r.hdr[i] != Marker[i] {
-			return nil, ErrBadMarker
-		}
-	}
-	total := int(binary.BigEndian.Uint16(r.hdr[4:6]))
-	if total < headerSize {
-		return nil, ErrBadLength
-	}
-	if cap(r.buf) < total {
-		r.buf = make([]byte, total)
-	}
-	buf := r.buf[:total]
-	copy(buf, r.hdr[:])
-	if _, err := io.ReadFull(r.r, buf[headerSize:]); err != nil {
-		if errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, io.EOF) {
-			return nil, ErrTruncated
-		}
-		return nil, err
-	}
-	msg, _, err := Decode(buf)
-	return msg, err
 }

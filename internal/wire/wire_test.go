@@ -1,9 +1,7 @@
 package wire
 
 import (
-	"bytes"
 	"errors"
-	"io"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -12,11 +10,11 @@ import (
 	"repro/internal/bgp"
 )
 
-func roundTrip(t *testing.T, msg Message) Message {
+func roundTrip(t *testing.T, u Update) Update {
 	t.Helper()
-	data, err := Encode(msg)
+	data, err := Encode(u)
 	if err != nil {
-		t.Fatalf("Encode(%+v): %v", msg, err)
+		t.Fatalf("Encode(%+v): %v", u, err)
 	}
 	got, n, err := Decode(data)
 	if err != nil {
@@ -28,24 +26,6 @@ func roundTrip(t *testing.T, msg Message) Message {
 	return got
 }
 
-func TestOpenRoundTrip(t *testing.T) {
-	in := Open{Version: Version, BGPID: 123456, NodeID: 7}
-	out := roundTrip(t, in)
-	if !reflect.DeepEqual(in, out) {
-		t.Fatalf("round trip: %+v != %+v", in, out)
-	}
-}
-
-func TestKeepaliveAndNotificationRoundTrip(t *testing.T) {
-	if _, ok := roundTrip(t, Keepalive{}).(Keepalive); !ok {
-		t.Fatal("keepalive type lost")
-	}
-	in := Notification{Code: 6, Subcode: 2}
-	if out := roundTrip(t, in); !reflect.DeepEqual(in, out) {
-		t.Fatalf("notification: %+v", out)
-	}
-}
-
 func TestUpdateRoundTrip(t *testing.T) {
 	in := Update{
 		Withdrawn: []WithdrawnRoute{{Prefix: 0, PathID: 3}, {Prefix: 7, PathID: 9}},
@@ -54,14 +34,14 @@ func TestUpdateRoundTrip(t *testing.T) {
 			{PathID: 2, LocalPref: 90, ASPathLen: 1, NextAS: 8, MED: 0, ExitPoint: 4, ExitCost: 0, NextHopID: 2002, TieBreak: 77},
 		},
 	}
-	out := roundTrip(t, in).(Update)
+	out := roundTrip(t, in)
 	if !reflect.DeepEqual(in, out) {
 		t.Fatalf("update round trip:\n in=%+v\nout=%+v", in, out)
 	}
 }
 
 func TestEmptyUpdateRoundTrip(t *testing.T) {
-	out := roundTrip(t, Update{}).(Update)
+	out := roundTrip(t, Update{})
 	if len(out.Withdrawn) != 0 || len(out.Announced) != 0 {
 		t.Fatalf("empty update grew: %+v", out)
 	}
@@ -79,7 +59,7 @@ func TestExitPathConversion(t *testing.T) {
 }
 
 func TestDecodeErrors(t *testing.T) {
-	good, _ := Encode(Keepalive{})
+	good, _ := Encode(Update{})
 
 	t.Run("short input", func(t *testing.T) {
 		if _, _, err := Decode(good[:3]); !errors.Is(err, ErrTruncated) {
@@ -108,23 +88,8 @@ func TestDecodeErrors(t *testing.T) {
 		}
 	})
 	t.Run("body truncated", func(t *testing.T) {
-		data, _ := Encode(Open{Version: Version, BGPID: 1, NodeID: 1})
+		data, _ := Encode(Update{Withdrawn: []WithdrawnRoute{{PathID: 1}}})
 		if _, _, err := Decode(data[:len(data)-2]); !errors.Is(err, ErrTruncated) {
-			t.Fatalf("err = %v", err)
-		}
-	})
-	t.Run("bad version", func(t *testing.T) {
-		data, _ := Encode(Open{Version: Version, BGPID: 1, NodeID: 1})
-		data[headerSize] = Version + 1
-		if _, _, err := Decode(data); !errors.Is(err, ErrBadVersion) {
-			t.Fatalf("err = %v", err)
-		}
-	})
-	t.Run("keepalive with body", func(t *testing.T) {
-		bad := append([]byte(nil), good...)
-		bad = append(bad, 0)
-		bad[4], bad[5] = 0, byte(len(bad))
-		if _, _, err := Decode(bad); !errors.Is(err, ErrBadLength) {
 			t.Fatalf("err = %v", err)
 		}
 	})
@@ -185,11 +150,10 @@ func TestQuickUpdateRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		out, n, err := Decode(data)
+		ou, n, err := Decode(data)
 		if err != nil || n != len(data) {
 			return false
 		}
-		ou := out.(Update)
 		if len(ou.Withdrawn) != len(in.Withdrawn) || len(ou.Announced) != len(in.Announced) {
 			return false
 		}
@@ -210,52 +174,14 @@ func TestQuickUpdateRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReaderWriterStream(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	msgs := []Message{
-		Open{Version: Version, BGPID: 9, NodeID: 2},
-		Update{Withdrawn: []WithdrawnRoute{{PathID: 1}}},
-		Keepalive{},
-		Update{Announced: []RouteRecord{{PathID: 4, TieBreak: -1}}},
-		Notification{Code: 6},
-	}
-	for _, m := range msgs {
-		if err := w.WriteMessage(m); err != nil {
-			t.Fatal(err)
-		}
-	}
-	r := NewReader(&buf)
-	for i, want := range msgs {
-		got, err := r.ReadMessage()
-		if err != nil {
-			t.Fatalf("message %d: %v", i, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("message %d: %+v != %+v", i, got, want)
-		}
-	}
-	if _, err := r.ReadMessage(); err != io.EOF {
-		t.Fatalf("expected EOF, got %v", err)
-	}
-}
-
-func TestReaderTruncatedStream(t *testing.T) {
-	data, _ := Encode(Open{Version: Version, BGPID: 1, NodeID: 1})
-	r := NewReader(bytes.NewReader(data[:len(data)-3]))
-	if _, err := r.ReadMessage(); !errors.Is(err, ErrTruncated) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
 func TestAppendReusesBuffer(t *testing.T) {
 	buf := make([]byte, 0, 256)
-	out, err := Append(buf, Keepalive{})
+	out, err := AppendUpdate(buf, &Update{Withdrawn: []WithdrawnRoute{{PathID: 1}}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if &out[0] != &buf[:1][0] {
-		t.Fatal("Append reallocated despite spare capacity")
+		t.Fatal("AppendUpdate reallocated despite spare capacity")
 	}
 }
 
