@@ -38,13 +38,12 @@
 // across -workers goroutines) either proves the oscillation persistent or
 // demotes it to "transient from cold start" in an extra finding.
 //
-// Confederation specs (package confed) are skipped with a note: they
-// describe a different session model.
+// Confederation specs (subASes and confedSessions instead of clusters) go
+// through the same passes; -prove decides their stability exactly as well.
 package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -206,17 +205,6 @@ func lintFile(path string, lintSpecFn func(string, *topology.Spec) *lint.Report)
 	if err != nil {
 		return errorReport(path, "read", err), nil
 	}
-	if isConfedSpec(data) {
-		return &lint.Report{
-			Source:  path,
-			Verdict: lint.VerdictPass,
-			Findings: []lint.Finding{{
-				Pass:     "parse",
-				Severity: lint.Info,
-				Detail:   "confederation spec (subASes): skipped — confed-BGP uses a different session model",
-			}},
-		}, nil
-	}
 	spec, err := topology.ParseSpec(bytes.NewReader(data))
 	if err != nil {
 		return errorReport(path, "parse", err), nil
@@ -227,16 +215,6 @@ func lintFile(path string, lintSpecFn func(string, *topology.Spec) *lint.Report)
 		sys = nil
 	}
 	return r, sys
-}
-
-// isConfedSpec sniffs for the confederation schema's mandatory subASes key.
-func isConfedSpec(data []byte) bool {
-	var probe map[string]json.RawMessage
-	if err := json.Unmarshal(data, &probe); err != nil {
-		return false
-	}
-	_, ok := probe["subASes"]
-	return ok
 }
 
 func errorReport(path, pass string, err error) *lint.Report {

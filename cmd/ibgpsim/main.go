@@ -18,7 +18,8 @@
 // Either -topology or -figure selects the system. -substrate=sim runs the
 // message-level simulator (virtual ticks; -delay/-jitter shape per-message
 // delays), -substrate=tcp runs the loopback speakers (milliseconds; -wait
-// bounds the quiescence wait).
+// bounds the quiescence wait). Confederation topologies run on the model
+// substrate only; the router core refuses them.
 //
 // -faults installs a deterministic fault plan on either operational
 // substrate: "seed=7,drop=0.05,dup=0.02,delay=0.2,maxdelay=30,
@@ -72,6 +73,12 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ibgpsim:", err)
 		os.Exit(1)
+	}
+	if *substrate == "sim" || *substrate == "tcp" {
+		if err := cli.CheckOperational(sys); err != nil {
+			fmt.Fprintln(os.Stderr, "ibgpsim:", err)
+			os.Exit(1)
+		}
 	}
 	var plan *ibgp.FaultPlan
 	if *faultSpec != "" {

@@ -60,6 +60,9 @@ func fatal(err error) {
 func resolveSystem(topoPath, figure, spec string, seed int64) (*topology.System, string, error) {
 	if topoPath != "" || figure != "" {
 		sys, err := cli.LoadSystem(topoPath, figure)
+		if err == nil {
+			err = cli.CheckOperational(sys)
+		}
 		return sys, "loaded", err
 	}
 	base := topogen.Default()

@@ -94,29 +94,32 @@ func ExampleNewForwardingPlane() {
 	// modified loop-free: true
 }
 
-// The confederation substrate: the same oscillation, the same cure.
-func ExampleNewConfedEngine() {
-	b := ibgp.NewConfedBuilder()
+// A confederation on the same engine: the same oscillation, the same cure.
+func ExampleNewEngine_confederation() {
+	b := ibgp.NewBuilder()
 	X := b.NewSubAS()
 	Y := b.NewSubAS()
-	A1 := b.Router("A1", X)
-	a1 := b.Router("a1", X)
-	a2 := b.Router("a2", X)
-	B1 := b.Router("B1", Y)
-	b1 := b.Router("b1", Y)
+	A1 := b.Member("A1", X)
+	a1 := b.Member("a1", X)
+	a2 := b.Member("a2", X)
+	B1 := b.Member("B1", Y)
+	b1 := b.Member("b1", Y)
 	b.Link(A1, a1, 5).Link(A1, a2, 4).Link(a1, a2, 8).Link(A1, B1, 1).Link(B1, b1, 10)
 	b.ConfedSession(A1, B1)
-	b.Exit(a1, 0, 1, 2, 0, 0)
-	b.Exit(a2, 0, 1, 1, 1, 0)
-	b.Exit(b1, 0, 1, 1, 0, 0)
+	b.Exit(a1, ibgp.ExitSpec{NextAS: 2})
+	b.Exit(a2, ibgp.ExitSpec{NextAS: 1, MED: 1})
+	b.Exit(b1, ibgp.ExitSpec{NextAS: 1})
 	sys, err := b.Build()
 	if err != nil {
 		panic(err)
 	}
-	for _, policy := range []ibgp.ConfedPolicy{ibgp.ConfedClassic, ibgp.ConfedSurvivors} {
-		res := ibgp.RunConfed(ibgp.NewConfedEngine(sys, policy, ibgp.Options{}),
-			ibgp.RoundRobin(sys.N()), 5000)
-		fmt.Printf("%v: %v\n", policy, res.Outcome)
+	for _, run := range []struct {
+		label  string
+		policy ibgp.Policy
+	}{{"classic", ibgp.Classic}, {"survivors", ibgp.Modified}} {
+		res := ibgp.Run(ibgp.NewEngine(sys, run.policy, ibgp.Options{}),
+			ibgp.RoundRobin(sys.N()), ibgp.RunOptions{MaxSteps: 5000})
+		fmt.Printf("%s: %v\n", run.label, res.Outcome)
 	}
 	// Output:
 	// classic: cycled

@@ -18,19 +18,19 @@ func main() {
 	// Sub-AS X: border router A1 plus exit owners a1 (r1: AS2, MED 0) and
 	// a2 (r2: AS1, MED 1). Sub-AS Y: border router B1 plus b1 (r3: AS1,
 	// MED 0). IGP costs mirror Figure 1(a).
-	b := ibgp.NewConfedBuilder()
+	b := ibgp.NewBuilder()
 	X := b.NewSubAS()
 	Y := b.NewSubAS()
-	A1 := b.Router("A1", X)
-	a1 := b.Router("a1", X)
-	a2 := b.Router("a2", X)
-	B1 := b.Router("B1", Y)
-	b1 := b.Router("b1", Y)
+	A1 := b.Member("A1", X)
+	a1 := b.Member("a1", X)
+	a2 := b.Member("a2", X)
+	B1 := b.Member("B1", Y)
+	b1 := b.Member("b1", Y)
 	b.Link(A1, a1, 5).Link(A1, a2, 4).Link(a1, a2, 8).Link(A1, B1, 1).Link(B1, b1, 10)
 	b.ConfedSession(A1, B1)
-	b.Exit(a1, 0, 1, 2, 0, 0) // r1
-	b.Exit(a2, 0, 1, 1, 1, 0) // r2: MED 1, same provider AS as r3
-	b.Exit(b1, 0, 1, 1, 0, 0) // r3: MED 0
+	b.Exit(a1, ibgp.ExitSpec{NextAS: 2})         // r1
+	b.Exit(a2, ibgp.ExitSpec{NextAS: 1, MED: 1}) // r2: MED 1, same provider AS as r3
+	b.Exit(b1, ibgp.ExitSpec{NextAS: 1})         // r3: MED 0
 	sys, err := b.Build()
 	if err != nil {
 		log.Fatal(err)
@@ -39,17 +39,19 @@ func main() {
 	fmt.Println("=== Figure 1(a) as a two-member confederation ===")
 	fmt.Println()
 
-	eng := ibgp.NewConfedEngine(sys, ibgp.ConfedClassic, ibgp.Options{})
-	res := ibgp.RunConfed(eng, ibgp.RoundRobin(sys.N()), 5000)
+	// The activation model runs confederations unchanged: Transfers adds
+	// the confed-session cases, and Modified is the survivor advertisement.
+	eng := ibgp.NewEngine(sys, ibgp.Classic, ibgp.Options{})
+	res := ibgp.Run(eng, ibgp.RoundRobin(sys.N()), ibgp.RunOptions{MaxSteps: 5000})
 	fmt.Printf("classic confed-BGP:      %v  (the border routers trade r1 and r3 forever)\n", res.Outcome)
 
-	eng2 := ibgp.NewConfedEngine(sys, ibgp.ConfedSurvivors, ibgp.Options{})
-	res2 := ibgp.RunConfed(eng2, ibgp.RoundRobin(sys.N()), 5000)
+	eng2 := ibgp.NewEngine(sys, ibgp.Modified, ibgp.Options{})
+	res2 := ibgp.Run(eng2, ibgp.RoundRobin(sys.N()), ibgp.RunOptions{MaxSteps: 5000})
 	fmt.Printf("survivor advertisement:  %v\n", res2.Outcome)
 	for u := 0; u < sys.N(); u++ {
 		best := "(none)"
-		if res2.Best[u] != ibgp.None {
-			best = fmt.Sprintf("r%d", res2.Best[u]+1)
+		if id := res2.Final.Best[u]; id != ibgp.None {
+			best = fmt.Sprintf("r%d", id+1)
 		}
 		fmt.Printf("  %-3s (sub-AS %d) settles on %s\n", sys.Name(ibgp.NodeID(u)), sys.SubAS(ibgp.NodeID(u)), best)
 	}

@@ -153,27 +153,27 @@ func TestFacadeSystemJSONRoundTrip(t *testing.T) {
 }
 
 func TestFacadeConfedJSON(t *testing.T) {
-	b := NewConfedBuilder()
+	b := NewBuilder()
 	X := b.NewSubAS()
 	Y := b.NewSubAS()
-	u := b.Router("u", X)
-	v := b.Router("v", Y)
+	u := b.Member("u", X)
+	v := b.Member("v", Y)
 	b.Link(u, v, 1)
 	b.ConfedSession(u, v)
-	b.Exit(u, 0, 1, 1, 0, 0)
+	b.Exit(u, ExitSpec{NextAS: 1})
 	sys, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := SaveConfederation(&buf, sys); err != nil {
+	if err := SaveSystem(&buf, sys); err != nil {
 		t.Fatal(err)
 	}
-	sys2, err := LoadConfederation(&buf)
+	sys2, err := LoadSystem(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sys2.N() != 2 || sys2.NumSubAS() != 2 {
+	if sys2.N() != 2 || sys2.NumSubASes() != 2 || !sys2.IsConfedSession(0, 1) {
 		t.Fatal("confed JSON round trip changed the system")
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"repro/internal/churn"
 	"repro/internal/figures"
 	"repro/internal/protocol"
+	"repro/internal/router"
 	"repro/internal/selection"
 	"repro/internal/topogen"
 	"repro/internal/topology"
@@ -61,6 +62,15 @@ func LoadSystem(path, figure string) (*topology.System, error) {
 	default:
 		return nil, fmt.Errorf("need -topology FILE or -figure N")
 	}
+}
+
+// CheckOperational reports why the operational substrates (the message
+// simulator and the TCP speakers) cannot run sys, or nil. The router core
+// refuses confederations; checking up front turns that into a usage error
+// instead of a failure inside a substrate constructor.
+func CheckOperational(sys *topology.System) error {
+	_, err := router.NewDomain(map[uint32]*topology.System{0: sys}, protocol.Classic, selection.Options{})
+	return err
 }
 
 // ParsePolicy maps a -policy flag value.

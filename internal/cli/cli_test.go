@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/churn"
-	"repro/internal/confed"
 	"repro/internal/figures"
 	"repro/internal/protocol"
 	"repro/internal/selection"
@@ -128,22 +127,6 @@ func TestShippedTopologies(t *testing.T) {
 			// asserts their diagnostics.
 			if _, err := LoadSystem(filepath.Join(dir, e.Name()), ""); err == nil {
 				t.Fatalf("%s: broken fixture unexpectedly loads", e.Name())
-			}
-			continue
-		}
-		if strings.HasPrefix(e.Name(), "confed-") {
-			// Confederations have their own loader.
-			f, err := os.Open(filepath.Join(dir, e.Name()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			sys, err := confed.Load(f)
-			f.Close()
-			if err != nil {
-				t.Fatalf("%s: %v", e.Name(), err)
-			}
-			if sys.N() == 0 {
-				t.Fatalf("%s: degenerate confederation", e.Name())
 			}
 			continue
 		}
@@ -300,5 +283,20 @@ func TestParseFailureLeavesBaseUntouched(t *testing.T) {
 	spec, err := ParseChurnSpec("rate=40", base)
 	if err != nil || spec.Period != base.Period {
 		t.Fatalf("period = %d (want default %d), err %v", spec.Period, base.Period, err)
+	}
+}
+
+// TestCheckOperational: the shipped confederation loads, but the
+// operational substrates refuse it up front; reflection systems pass.
+func TestCheckOperational(t *testing.T) {
+	sys, err := LoadSystem(filepath.Join("..", "..", "examples", "topologies", "confed-fig1a.json"), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := CheckOperational(sys); err == nil || !strings.Contains(err.Error(), "confederations") {
+		t.Fatalf("confederation: got %v, want a refusal", err)
+	}
+	if err := CheckOperational(figures.Fig1a().Sys); err != nil {
+		t.Fatalf("Fig1a: %v", err)
 	}
 }

@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/bgp"
 	"repro/internal/campaign"
-	"repro/internal/confed"
 	"repro/internal/explore"
 	"repro/internal/figures"
 	"repro/internal/forwarding"
@@ -740,55 +739,46 @@ func E15Adaptive(opts Options) Report {
 
 // E16Confederation: the field notice reported the oscillation for
 // confederations as well; the paper's positive results cover route
-// reflection only. The confed substrate reproduces the oscillation and
-// shows (as an extension) that the survivor-advertisement idea settles
-// confederations too.
+// reflection only. The confederation form of topology.System reproduces
+// the oscillation and shows (as an extension) that the
+// survivor-advertisement idea settles confederations too.
 func E16Confederation(opts Options) Report {
 	opts.fill()
-	build := func(medA2 int) (*confed.System, error) {
-		b := confed.NewBuilder()
+	build := func(medA2 int) (*topology.System, error) {
+		b := topology.NewBuilder()
 		X := b.NewSubAS()
 		Y := b.NewSubAS()
-		A1 := b.Router("A1", X)
-		a1 := b.Router("a1", X)
-		a2 := b.Router("a2", X)
-		B1 := b.Router("B1", Y)
-		b1 := b.Router("b1", Y)
+		A1 := b.Member("A1", X)
+		a1 := b.Member("a1", X)
+		a2 := b.Member("a2", X)
+		B1 := b.Member("B1", Y)
+		b1 := b.Member("b1", Y)
 		b.Link(A1, a1, 5).Link(A1, a2, 4).Link(a1, a2, 8).Link(A1, B1, 1).Link(B1, b1, 10)
 		b.ConfedSession(A1, B1)
-		b.Exit(a1, 0, 1, 2, 0, 0)
-		b.Exit(a2, 0, 1, 1, medA2, 0)
-		b.Exit(b1, 0, 1, 1, 0, 0)
+		b.Exit(a1, topology.ExitSpec{NextAS: 2})
+		b.Exit(a2, topology.ExitSpec{NextAS: 1, MED: medA2})
+		b.Exit(b1, topology.ExitSpec{NextAS: 1})
 		return b.Build()
 	}
 	sys, err := build(1)
 	if err != nil {
 		return Report{ID: "E16", Artifact: "Confederations", Measured: err.Error()}
 	}
-	classic := confed.Run(confed.New(sys, confed.Classic, selection.Options{}),
-		protocol.RoundRobin(sys.N()), 5000)
-	surv := confed.Run(confed.New(sys, confed.Survivors, selection.Options{}),
-		protocol.RoundRobin(sys.N()), 5000)
+	run := func(sys *topology.System, policy protocol.Policy, sch protocol.Schedule) protocol.Result {
+		return protocol.Run(protocol.New(sys, policy, selection.Options{}), sch, protocol.RunOptions{MaxSteps: 5000})
+	}
+	classic := run(sys, protocol.Classic, protocol.RoundRobin(sys.N()))
+	surv := run(sys, protocol.Modified, protocol.RoundRobin(sys.N()))
 	same := true
 	for seed := int64(1); seed <= int64(opts.Seeds); seed++ {
-		r := confed.Run(confed.New(sys, confed.Survivors, selection.Options{}),
-			protocol.PermutationRounds(sys.N(), seed), 5000)
-		if r.Outcome != protocol.Converged {
+		r := run(sys, protocol.Modified, protocol.PermutationRounds(sys.N(), seed))
+		if r.Outcome != protocol.Converged || !r.Final.BestEqual(surv.Final) {
 			same = false
-			continue
-		}
-		for u := range r.Best {
-			if r.Best[u] != surv.Best[u] {
-				same = false
-			}
 		}
 	}
 	eq, err := build(0) // equal MEDs
-	medInduced := false
-	if err == nil {
-		medInduced = confed.Run(confed.New(eq, confed.Classic, selection.Options{}),
-			protocol.RoundRobin(eq.N()), 5000).Outcome == protocol.Converged
-	}
+	medInduced := err == nil &&
+		run(eq, protocol.Classic, protocol.RoundRobin(eq.N())).Outcome == protocol.Converged
 	pass := classic.Outcome == protocol.Cycled && surv.Outcome == protocol.Converged &&
 		same && medInduced
 	return Report{

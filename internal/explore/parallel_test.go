@@ -69,10 +69,9 @@ func TestParallelMatchesSerialOnFigures(t *testing.T) {
 }
 
 // TestParallelMatchesSerialOnFixtures does the same over the example
-// topology files shipped in the repo. Files that do not load as plain
-// route-reflection systems (the confederation spec, the deliberately
-// broken fixture) are skipped — the point is coverage of every system the
-// examples directory can produce, not of the parser.
+// topology files shipped in the repo. Files that do not load (the
+// deliberately broken fixture) are skipped — the point is coverage of
+// every system the examples directory can produce, not of the parser.
 func TestParallelMatchesSerialOnFixtures(t *testing.T) {
 	paths, err := filepath.Glob(filepath.Join("..", "..", "examples", "topologies", "*.json"))
 	if err != nil {

@@ -14,10 +14,11 @@ import (
 //
 // Certificates emitted:
 //
-//   - full-mesh: every router is a client-less reflector. Route
-//     reflection then hides nothing; with additionally MED-free selection
-//     (below) the system is an instance the paper's Section 2 analysis
-//     covers and classic I-BGP converges.
+//   - full-mesh: every router is a client-less reflector and no
+//     confed-BGP session exists. Route reflection then hides nothing;
+//     with additionally MED-free selection (below) the system is an
+//     instance the paper's Section 2 analysis covers and classic I-BGP
+//     converges.
 //   - med-free-selection: among the rule-1/2 survivors every neighbouring
 //     AS announces a single MED value, so rule 3 never eliminates a
 //     route based on visibility. Selection degenerates to the
@@ -40,11 +41,15 @@ func certificatePass() Pass {
 		var out []Finding
 		n := sys.N()
 
-		fullMesh := true
-		for u := 0; u < n; u++ {
+		// Confed sessions carry only the best route under classic I-BGP,
+		// so a confederation hides routes although every member is a
+		// client-less reflector; the subtree comparison of the
+		// monotone-hierarchy certificate is vacuous there as well.
+		confed := sys.HasConfedSessions()
+		fullMesh := !confed
+		for u := 0; u < n && fullMesh; u++ {
 			if sys.Role(bgp.NodeID(u)) != topology.Reflector || len(sys.ClusterMembers(sys.Cluster(bgp.NodeID(u)))) != 1 {
 				fullMesh = false
-				break
 			}
 		}
 		if fullMesh {
@@ -96,7 +101,7 @@ func certificatePass() Pass {
 				}
 			}
 		}
-		if monotone && !fullMesh {
+		if monotone && !fullMesh && !confed {
 			out = append(out, Finding{
 				Pass: p.Name, Severity: Info, Ref: "Section 3, Figure 2 (contrapositive)",
 				Detail: "monotone-hierarchy: every reflector weakly prefers its own subtree's exits by IGP metric, " +

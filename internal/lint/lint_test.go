@@ -147,7 +147,7 @@ func TestAllBundledTopologies(t *testing.T) {
 	}
 	for _, ent := range entries {
 		name := ent.Name()
-		if filepath.Ext(name) != ".json" || strings.HasPrefix(name, "confed-") {
+		if filepath.Ext(name) != ".json" {
 			continue
 		}
 		f, err := os.Open(filepath.Join(dir, name))
@@ -260,6 +260,7 @@ func findingDump(r *Report) string {
 func TestBundledTopologyVerdicts(t *testing.T) {
 	want := map[string]Verdict{
 		"broken-cluster.json": VerdictFail, // client in two clusters
+		"confed-fig1a.json":   VerdictRisk, // Fig 1(a) MED split across sub-ASes
 		"fig13.json":          VerdictRisk, // MED oscillation survives Walton
 		"fig14.json":          VerdictPass, // fully meshed RRs, no MED split
 		"fig1a.json":          VerdictRisk, // paper's basic 3-cluster cycle
@@ -276,11 +277,6 @@ func TestBundledTopologyVerdicts(t *testing.T) {
 	covered := map[string]bool{}
 	for _, path := range paths {
 		name := filepath.Base(path)
-		if strings.HasPrefix(name, "confed-") {
-			// Confederation specs use their own loader and linter entry
-			// point; they are out of scope for LintSpec.
-			continue
-		}
 		expect, ok := want[name]
 		if !ok {
 			t.Errorf("%s: new fixture without an expected verdict — add it to the table", name)

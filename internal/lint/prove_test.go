@@ -1,6 +1,8 @@
 package lint
 
 import (
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -229,5 +231,43 @@ func TestProveMatchesEnumeration(t *testing.T) {
 					seed, gotMulti, len(enum.Solutions))
 			}
 		}
+	}
+}
+
+// TestConfedSpecLint lints the shipped Figure 1(a) confederation through
+// the ordinary spec entry point. Confed sessions carry only the best route
+// under classic I-BGP, so the full-mesh certificate must not fire although
+// every member is a client-less reflector, and the exact prover must agree
+// with the brute-force enumeration that no stable routing exists.
+func TestConfedSpecLint(t *testing.T) {
+	f, err := os.Open(filepath.Join("..", "..", "examples", "topologies", "confed-fig1a.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := topology.ParseSpec(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := ProveSpec("confed-fig1a.json", spec)
+	for _, fd := range r.Findings {
+		if fd.Pass == "safety-certificate" && !strings.HasPrefix(fd.Detail, "med-free") {
+			t.Errorf("unsound certificate on a confederation: %s", fd.Detail)
+		}
+	}
+	stable := findingOf(t, r, "prove-stable")
+	if stable == nil || !strings.Contains(stable.Detail, "no stable routing exists") {
+		t.Fatalf("prove-stable did not prove oscillation; findings:\n%s", findingDump(r))
+	}
+	if r.Verdict != VerdictRisk {
+		t.Fatalf("verdict = %v, want RISK", r.Verdict)
+	}
+	sys, err := topology.BuildSpec(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enum := explore.EnumerateStableClassic(protocol.New(sys, protocol.Classic, selection.Options{}), 0)
+	if enum.Truncated || len(enum.Solutions) != 0 {
+		t.Fatalf("enumeration: %d stable solutions (truncated %v), want none", len(enum.Solutions), enum.Truncated)
 	}
 }

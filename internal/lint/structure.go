@@ -10,9 +10,12 @@ import (
 
 // specNodes inventories the routers a spec declares, in declaration order.
 // Duplicate declarations are kept so the structural passes can report them.
+// Confederation members are reflectors with cluster -1 and their sub-AS
+// recorded; cluster routers have subAS -1.
 type specNode struct {
 	name      string
 	cluster   int
+	subAS     int
 	reflector bool
 }
 
@@ -20,10 +23,15 @@ func specInventory(spec *topology.Spec) []specNode {
 	var nodes []specNode
 	for ci, c := range spec.Clusters {
 		for _, n := range c.Reflectors {
-			nodes = append(nodes, specNode{name: n, cluster: ci, reflector: true})
+			nodes = append(nodes, specNode{name: n, cluster: ci, subAS: -1, reflector: true})
 		}
 		for _, n := range c.Clients {
-			nodes = append(nodes, specNode{name: n, cluster: ci, reflector: false})
+			nodes = append(nodes, specNode{name: n, cluster: ci, subAS: -1, reflector: false})
+		}
+	}
+	for si, members := range spec.SubASes {
+		for _, n := range members {
+			nodes = append(nodes, specNode{name: n, cluster: -1, subAS: si, reflector: true})
 		}
 	}
 	return nodes
@@ -34,7 +42,8 @@ func specInventory(spec *topology.Spec) []specNode {
 // declared clusters and form a forest (no cycles, no self-parents), and no
 // router is declared twice — a router serving as both reflector and client
 // or sitting in two clusters breaks the acyclic reflection hierarchy the
-// paper's model assumes.
+// paper's model assumes. A confederation spec declares sub-ASes instead,
+// each with at least one member.
 func clusterStructurePass() Pass {
 	p := Pass{
 		Name: "cluster-structure",
@@ -43,12 +52,25 @@ func clusterStructurePass() Pass {
 	}
 	p.Spec = func(spec *topology.Spec) []Finding {
 		var out []Finding
-		if len(spec.Clusters) == 0 {
-			out = append(out, Finding{
+		switch {
+		case len(spec.Clusters) == 0 && len(spec.SubASes) == 0:
+			return []Finding{{
 				Pass: p.Name, Severity: Error, Ref: p.Ref,
 				Detail: "no clusters declared",
-			})
-			return out
+			}}
+		case len(spec.Clusters) > 0 && len(spec.SubASes) > 0:
+			return []Finding{{
+				Pass: p.Name, Severity: Error, Ref: p.Ref,
+				Detail: "spec declares both clusters and confederation sub-ASes",
+			}}
+		}
+		for si, members := range spec.SubASes {
+			if len(members) == 0 {
+				out = append(out, Finding{
+					Pass: p.Name, Severity: Error, Ref: p.Ref,
+					Detail: fmt.Sprintf("sub-AS %d is empty", si),
+				})
+			}
 		}
 		for ci, c := range spec.Clusters {
 			if len(c.Reflectors) == 0 {
@@ -126,6 +148,9 @@ func clusterStructurePass() Pass {
 				continue
 			}
 			detail := fmt.Sprintf("router %q is declared twice (clusters %d and %d)", n.name, prev.cluster, n.cluster)
+			if n.subAS >= 0 {
+				detail = fmt.Sprintf("router %q is declared twice (sub-ASes %d and %d)", n.name, prev.subAS, n.subAS)
+			}
 			if prev.reflector != n.reflector {
 				rc, cc := prev.cluster, n.cluster
 				if n.reflector {
@@ -145,9 +170,9 @@ func clusterStructurePass() Pass {
 	return p
 }
 
-// nodeReferencesPass checks that links, client sessions, exits and BGP id
-// overrides reference declared routers only, and that links do not connect
-// a router to itself.
+// nodeReferencesPass checks that links, client and confed sessions, exits
+// and BGP id overrides reference declared routers only, and that links do
+// not connect a router to itself.
 func nodeReferencesPass() Pass {
 	p := Pass{
 		Name: "node-references",
@@ -182,12 +207,16 @@ func nodeReferencesPass() Pass {
 				})
 			}
 		}
-		for i, s := range spec.ClientSessions {
-			if !declared[s.A] {
-				unknown(fmt.Sprintf("client session %d", i), s.A)
-			}
-			if !declared[s.B] {
-				unknown(fmt.Sprintf("client session %d", i), s.B)
+		for _, kind := range []struct {
+			name     string
+			sessions []topology.SessionSpec
+		}{{"client", spec.ClientSessions}, {"confed", spec.ConfedSessions}} {
+			for i, s := range kind.sessions {
+				for _, name := range []string{s.A, s.B} {
+					if !declared[name] {
+						unknown(fmt.Sprintf("%s session %d", kind.name, i), name)
+					}
+				}
 			}
 		}
 		for i, e := range spec.Exits {
@@ -254,8 +283,9 @@ func attributesPass() Pass {
 }
 
 // giConnectivityPass derives the I-BGP session set a spec induces — full
-// mesh among top-level reflectors, reflector-to-served-member within each
-// cluster, declared client sessions — and checks that the logical graph
+// mesh among top-level reflectors (per sub-AS in a confederation),
+// reflector-to-served-member within each cluster, declared client and
+// confed sessions — and checks that the logical graph
 // G_I is connected. Routers outside the connected component (for example
 // the clients of a reflector-less cluster) can never learn remote routes.
 func giConnectivityPass() Pass {
@@ -282,16 +312,19 @@ func giConnectivityPass() Pass {
 			adj[a] = append(adj[a], b)
 			adj[b] = append(adj[b], a)
 		}
-		// Full mesh among top-level reflectors.
+		// Full mesh among top-level reflectors of one sub-AS (all of them
+		// outside a confederation).
 		var topRRs []int
 		for i, n := range nodes {
-			if n.reflector && n.cluster < len(spec.Clusters) && spec.Clusters[n.cluster].Parent == nil {
+			if n.subAS >= 0 || (n.reflector && spec.Clusters[n.cluster].Parent == nil) {
 				topRRs = append(topRRs, i)
 			}
 		}
 		for i := 0; i < len(topRRs); i++ {
 			for j := i + 1; j < len(topRRs); j++ {
-				connect(topRRs[i], topRRs[j])
+				if nodes[topRRs[i]].subAS == nodes[topRRs[j]].subAS {
+					connect(topRRs[i], topRRs[j])
+				}
 			}
 		}
 		// Reflector-to-served-member within each cluster: own clients plus
@@ -304,7 +337,7 @@ func giConnectivityPass() Pass {
 					rrs = append(rrs, i)
 				case n.cluster == ci:
 					served = append(served, i)
-				case n.reflector && n.cluster < len(spec.Clusters) &&
+				case n.reflector && n.cluster >= 0 &&
 					spec.Clusters[n.cluster].Parent != nil && *spec.Clusters[n.cluster].Parent == ci:
 					served = append(served, i)
 				}
@@ -315,11 +348,13 @@ func giConnectivityPass() Pass {
 				}
 			}
 		}
-		for _, s := range spec.ClientSessions {
-			a, okA := idx[s.A]
-			b, okB := idx[s.B]
-			if okA && okB {
-				connect(a, b)
+		for _, sessions := range [][]topology.SessionSpec{spec.ClientSessions, spec.ConfedSessions} {
+			for _, s := range sessions {
+				a, okA := idx[s.A]
+				b, okB := idx[s.B]
+				if okA && okB {
+					connect(a, b)
+				}
 			}
 		}
 		// BFS rooted at the first top-level reflector (the core of the

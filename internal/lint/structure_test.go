@@ -31,6 +31,14 @@ func specOf(mutate func(*topology.Spec)) *topology.Spec {
 	return spec
 }
 
+// asConfed turns the specOf system into a two-member confederation, with
+// r1-r2 as the confed-BGP session.
+func asConfed(s *topology.Spec) {
+	s.Clusters = nil
+	s.SubASes = [][]string{{"r1", "c1"}, {"r2", "c2"}}
+	s.ConfedSessions = []topology.SessionSpec{{A: "r1", B: "r2"}}
+}
+
 func TestSpecPassesFlagStructuralBreakage(t *testing.T) {
 	tests := []struct {
 		name   string
@@ -118,6 +126,46 @@ func TestSpecPassesFlagStructuralBreakage(t *testing.T) {
 			},
 			pass:   "attributes",
 			detail: "malformed MED",
+		},
+		{
+			name:   "confederation passes",
+			mutate: asConfed,
+			pass:   "",
+		},
+		{
+			name: "confederation without confed sessions",
+			mutate: func(s *topology.Spec) {
+				asConfed(s)
+				s.ConfedSessions = nil
+			},
+			pass:   "gi-connectivity",
+			detail: "disconnected",
+		},
+		{
+			name: "unknown router in confed session",
+			mutate: func(s *topology.Spec) {
+				asConfed(s)
+				s.ConfedSessions[0].B = "ghost"
+			},
+			pass:   "node-references",
+			detail: `confed session 0 references unknown router "ghost"`,
+		},
+		{
+			name: "router in two sub-ASes",
+			mutate: func(s *topology.Spec) {
+				asConfed(s)
+				s.SubASes[1] = append(s.SubASes[1], "c1")
+			},
+			pass:   "cluster-structure",
+			detail: "sub-ASes 0 and 1",
+		},
+		{
+			name: "clusters and sub-ASes",
+			mutate: func(s *topology.Spec) {
+				s.SubASes = [][]string{{"x"}}
+			},
+			pass:   "cluster-structure",
+			detail: "both clusters and confederation sub-ASes",
 		},
 		{
 			name: "negative link cost",

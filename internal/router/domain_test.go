@@ -1,6 +1,8 @@
 package router
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -97,5 +99,24 @@ func TestPrefixesAllocationFree(t *testing.T) {
 	}
 	if n == 0 {
 		t.Fatal("Prefixes() returned nothing")
+	}
+}
+
+// TestNewDomainRefusesConfederations: the core's announcement rules are
+// per-instance reflection rules, so a system with confed-BGP sessions is
+// refused rather than run on the wrong model.
+func TestNewDomainRefusesConfederations(t *testing.T) {
+	f, err := os.Open(filepath.Join("..", "..", "examples", "topologies", "confed-fig1a.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := topology.Load(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = NewDomain(map[uint32]*topology.System{0: sys}, protocol.Classic, selection.Options{})
+	if err == nil || !strings.Contains(err.Error(), "confederations are not supported") {
+		t.Fatalf("confederation: got %v, want a refusal", err)
 	}
 }

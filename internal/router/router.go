@@ -58,6 +58,10 @@ type Domain struct {
 // prefix, or topology.WithExits overlays of one base) are recognised in
 // O(1); independently built systems fall back to a full structural
 // comparison.
+//
+// Confederations are refused: the core's announcement rules are the
+// per-instance reflection rules, which do not model confed-BGP sessions.
+// The activation model (package protocol) runs them.
 func NewDomain(systems map[uint32]*topology.System, policy protocol.Policy, opts selection.Options) (*Domain, error) {
 	if len(systems) == 0 {
 		return nil, errors.New("router: no prefixes")
@@ -72,6 +76,9 @@ func NewDomain(systems map[uint32]*topology.System, policy protocol.Policy, opts
 		sys := systems[p]
 		if sys == nil {
 			return nil, fmt.Errorf("router: prefix %d: nil system", p)
+		}
+		if sys.HasConfedSessions() {
+			return nil, errors.New("router: confederations are not supported by the operational core; run them on the activation model")
 		}
 		syss[i] = sys
 	}

@@ -10,16 +10,24 @@ import (
 )
 
 // Spec is the JSON-serializable description of a System, consumed by the
-// command-line tools. Nodes are referenced by name.
+// command-line tools. Nodes are referenced by name. A route-reflection
+// spec declares Clusters; a confederation spec declares SubASes and
+// ConfedSessions instead.
 type Spec struct {
 	// Comment is free-form and ignored by the loader.
 	Comment string `json:"comment,omitempty"`
 	// Clusters lists the route-reflection clusters.
-	Clusters []ClusterSpec `json:"clusters"`
+	Clusters []ClusterSpec `json:"clusters,omitempty"`
+	// SubASes lists the member sub-ASes of a confederation, each naming
+	// its routers.
+	SubASes [][]string `json:"subASes,omitempty"`
 	// Links lists the physical IGP links.
 	Links []LinkSpec `json:"links"`
 	// ClientSessions lists optional same-cluster client-client sessions.
 	ClientSessions []SessionSpec `json:"clientSessions,omitempty"`
+	// ConfedSessions lists the confed-BGP sessions between border routers
+	// of different sub-ASes.
+	ConfedSessions []SessionSpec `json:"confedSessions,omitempty"`
 	// Exits lists the injected exit paths (prefix 0 in a multi-prefix
 	// domain).
 	Exits []ExitJSON `json:"exits"`
@@ -48,7 +56,7 @@ type LinkSpec struct {
 	Cost int64  `json:"cost"`
 }
 
-// SessionSpec is one extra client-client I-BGP session.
+// SessionSpec is one extra client-client or confed-BGP session.
 type SessionSpec struct {
 	A string `json:"a"`
 	B string `json:"b"`
@@ -68,8 +76,17 @@ type ExitJSON struct {
 
 // BuildSpec converts a Spec into a System.
 func BuildSpec(spec *Spec) (*System, error) {
+	if len(spec.Clusters) > 0 && len(spec.SubASes) > 0 {
+		return nil, fmt.Errorf("topology: a spec declares clusters or subASes, not both")
+	}
 	b := NewBuilder()
 	ids := map[string]bgp.NodeID{}
+	for _, members := range spec.SubASes {
+		sub := b.NewSubAS()
+		for _, name := range members {
+			ids[name] = b.Member(name, sub)
+		}
+	}
 	for i, c := range spec.Clusters {
 		var ci int
 		if c.Parent != nil {
@@ -105,16 +122,21 @@ func BuildSpec(spec *Spec) (*System, error) {
 		}
 		b.Link(a, bn, l.Cost)
 	}
-	for _, cs := range spec.ClientSessions {
-		a, err := lookup(cs.A)
-		if err != nil {
-			return nil, err
+	for _, kind := range []struct {
+		sessions []SessionSpec
+		add      func(u, v bgp.NodeID) *Builder
+	}{{spec.ClientSessions, b.ClientSession}, {spec.ConfedSessions, b.ConfedSession}} {
+		for _, cs := range kind.sessions {
+			a, err := lookup(cs.A)
+			if err != nil {
+				return nil, err
+			}
+			bn, err := lookup(cs.B)
+			if err != nil {
+				return nil, err
+			}
+			kind.add(a, bn)
 		}
-		bn, err := lookup(cs.B)
-		if err != nil {
-			return nil, err
-		}
-		b.ClientSession(a, bn)
 	}
 	for _, e := range spec.Exits {
 		at, err := lookup(e.At)
@@ -187,9 +209,9 @@ func BuildSpecAll(spec *Spec) ([]*System, error) {
 }
 
 // ParseSpec decodes a JSON Spec without validating or building it. Unknown
-// fields are rejected, so a confederation spec (package confed) does not
-// silently half-parse. The static analyzer (package lint) uses this to
-// inspect configurations too broken for Build to accept.
+// fields are rejected, so a misspelt key does not silently half-parse. The
+// static analyzer (package lint) uses this to inspect configurations too
+// broken for Build to accept.
 func ParseSpec(r io.Reader) (*Spec, error) {
 	var spec Spec
 	dec := json.NewDecoder(r)
@@ -214,7 +236,16 @@ func Load(r io.Reader) (*System, error) {
 // cheapest.
 func ToSpec(s *System) *Spec {
 	spec := &Spec{}
-	for c := 0; c < s.NumClusters(); c++ {
+	n := s.N()
+	if s.NumSubASes() > 0 {
+		spec.SubASes = make([][]string, s.NumSubASes())
+		for u := 0; u < n; u++ {
+			sub := s.SubAS(bgp.NodeID(u))
+			spec.SubASes[sub] = append(spec.SubASes[sub], s.Name(bgp.NodeID(u)))
+		}
+	}
+	// A confederation's single-member clusters are implied by SubASes.
+	for c := 0; c < s.NumClusters() && spec.SubASes == nil; c++ {
 		var cs ClusterSpec
 		if p := s.ClusterParent(c); p >= 0 {
 			pp := p
@@ -229,7 +260,6 @@ func ToSpec(s *System) *Spec {
 		}
 		spec.Clusters = append(spec.Clusters, cs)
 	}
-	n := s.N()
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
 			if s.Phys().HasEdge(bgp.NodeID(u), bgp.NodeID(v)) {
@@ -246,6 +276,9 @@ func ToSpec(s *System) *Spec {
 			uID, vID := bgp.NodeID(u), bgp.NodeID(v)
 			if s.Role(uID) == Client && s.Role(vID) == Client && s.HasSession(uID, vID) {
 				spec.ClientSessions = append(spec.ClientSessions, SessionSpec{A: s.Name(uID), B: s.Name(vID)})
+			}
+			if s.IsConfedSession(uID, vID) {
+				spec.ConfedSessions = append(spec.ConfedSessions, SessionSpec{A: s.Name(uID), B: s.Name(vID)})
 			}
 		}
 	}

@@ -53,7 +53,7 @@ func TestLoadErrorPaths(t *testing.T) {
 		},
 		{
 			name:    "unknown field",
-			json:    `{"clusters": [{"reflectors": ["r"]}], "subASes": []}`,
+			json:    `{"clusters": [{"reflectors": ["r"]}], "bogus": []}`,
 			errPart: "unknown field",
 		},
 		{

@@ -6,6 +6,13 @@
 // set and the exit paths injected into the AS, and exposes the Transfer
 // relation that governs which exit paths an I-BGP speaker may announce to
 // which peer (the three cases of Section 4, "Modeling Communication").
+//
+// A System may instead describe a BGP confederation (RFC 5065), the other
+// full-mesh alternative: the AS is partitioned into member sub-ASes, each
+// internally fully meshed, joined by confed-BGP sessions between border
+// routers. Every router is then the client-less reflector of a cluster of
+// its own (the FullMesh convention), the reflector mesh stops at the
+// sub-AS boundary, and Transfers gains the confed-session cases.
 package topology
 
 import (
@@ -54,6 +61,14 @@ type System struct {
 	bgpIDs    []int          // BGP identifier per node (for learnedFrom)
 	ap        *igp.AllPairs
 	clusters  [][]bgp.NodeID // members per cluster, sorted
+
+	// Confederation tables; subAS is nil outside a confederation, and the
+	// rest are nil when it has no confed sessions.
+	subAS    []int    // member sub-AS per node
+	numSub   int      // number of member sub-ASes
+	confedAt [][]bool // confedAt[u][v]: u-v is a confed-BGP session
+	subDist  [][]int  // hop distance in the sub-AS graph; numSub if unreachable
+	ingress  [][]bool // ingress[v][x]: v has a confed peer closer to sub-AS x
 }
 
 // N returns the number of routers.
@@ -141,6 +156,28 @@ func (s *System) BelowOrSelf(r, x bgp.NodeID) bool { return s.below[r][x] }
 // level.
 func (s *System) ClusterParent(k int) int { return s.parent[k] }
 
+// SubAS returns the member sub-AS of u, or -1 outside a confederation.
+func (s *System) SubAS(u bgp.NodeID) int {
+	if s.subAS == nil {
+		return -1
+	}
+	return s.subAS[u]
+}
+
+// NumSubASes returns the number of member sub-ASes (0 outside a
+// confederation).
+func (s *System) NumSubASes() int { return s.numSub }
+
+// IsConfedSession reports whether u-v is a confed-BGP session between
+// border routers of different sub-ASes.
+func (s *System) IsConfedSession(u, v bgp.NodeID) bool {
+	return s.confedAt != nil && s.confedAt[u][v]
+}
+
+// HasConfedSessions reports whether the system is a confederation with at
+// least one confed-BGP session.
+func (s *System) HasConfedSessions() bool { return s.confedAt != nil }
+
 // Transfers implements the Transfer relation of Section 4, generalized to
 // multi-level reflection hierarchies: it reports whether the exit path p
 // may appear in an announcement from router v to router u, assuming v
@@ -156,6 +193,24 @@ func (s *System) ClusterParent(k int) int { return s.parent[k] }
 //     everything flows down, except back along the branch it came from.
 //
 // For two-level systems this coincides exactly with the paper's relation.
+//
+// A confederation adds two cases. Let X be the sub-AS of p's exit point
+// and d the hop distance in the sub-AS graph:
+//
+//   - over a confed session, p passes iff d(sub(u), X) > d(sub(v), X):
+//     AS_CONFED_SEQUENCE loop prevention as a static filter, a path only
+//     moves away from its exit sub-AS;
+//   - over an internal session, a path from a foreign sub-AS (X ≠ sub(v))
+//     passes iff v is an ingress for X — it has a confed peer strictly
+//     closer to X — and u is not. On a tree-shaped confederation each
+//     sub-AS has one ingress per X, so the second condition only matters
+//     with parallel confed sessions, where it stops two ingresses from
+//     keeping each other's copy of a withdrawn path alive.
+//
+// Local paths inside a sub-AS follow the full-mesh rule (case 1 only).
+// Each transfer moves a path farther from X in the sub-AS graph, or from
+// an ingress to a non-ingress of the same sub-AS, so the per-path transfer
+// graph stays acyclic and stale copies flush as in Lemma 7.2.
 func (s *System) Transfers(v, u bgp.NodeID, p bgp.ExitPath) bool {
 	if v == u || !s.sessionAt[v][u] {
 		return false
@@ -163,6 +218,15 @@ func (s *System) Transfers(v, u bgp.NodeID, p bgp.ExitPath) bool {
 	// Case 1: v learned p via E-BGP.
 	if p.ExitPoint == v {
 		return true
+	}
+	if s.confedAt != nil {
+		x := s.subAS[p.ExitPoint]
+		if s.confedAt[v][u] {
+			return s.subDist[s.subAS[u]][x] > s.subDist[s.subAS[v]][x]
+		}
+		if x != s.subAS[v] {
+			return s.ingress[v][x] && !s.ingress[u][x]
+		}
 	}
 	if s.servedBy[u][v] {
 		// Case 3: down to a client; never echo into the originating branch.
@@ -227,6 +291,9 @@ type Builder struct {
 	extraSess  []pair
 	exits      []bgp.ExitPath
 	bgpIDs     []int
+	subAS      []int // member sub-AS per node, -1 for none
+	numSub     int
+	confedSess []pair
 	err        error
 }
 
@@ -284,6 +351,7 @@ func (b *Builder) addNode(name string, role Role, cluster int) bgp.NodeID {
 	b.roles = append(b.roles, role)
 	b.cluster = append(b.cluster, cluster)
 	b.bgpIDs = append(b.bgpIDs, 1000+int(id))
+	b.subAS = append(b.subAS, -1)
 	return id
 }
 
@@ -295,6 +363,37 @@ func (b *Builder) Reflector(name string, cluster int) bgp.NodeID {
 // Client adds a client router named name to the given cluster.
 func (b *Builder) Client(name string, cluster int) bgp.NodeID {
 	return b.addNode(name, Client, cluster)
+}
+
+// NewSubAS starts a new (initially empty) member sub-AS of a confederation
+// and returns its index.
+func (b *Builder) NewSubAS() int {
+	b.numSub++
+	return b.numSub - 1
+}
+
+// Member adds a router named name to member sub-AS sub of a confederation.
+// The router is the client-less reflector of a cluster of its own, so the
+// reflector mesh — which stops at the sub-AS boundary — is the sub-AS's
+// internal full mesh.
+func (b *Builder) Member(name string, sub int) bgp.NodeID {
+	if b.err == nil && (sub < 0 || sub >= b.numSub) {
+		b.err = fmt.Errorf("topology: router %q references unknown sub-AS %d", name, sub)
+	}
+	u := b.addNode(name, Reflector, b.NewCluster())
+	if u >= 0 {
+		b.subAS[u] = sub
+	}
+	return u
+}
+
+// ConfedSession adds a confed-BGP session between border routers of two
+// different sub-ASes.
+func (b *Builder) ConfedSession(u, v bgp.NodeID) *Builder {
+	if b.err == nil {
+		b.confedSess = append(b.confedSess, pair{u, v})
+	}
+	return b
 }
 
 // SetBGPID overrides the BGP identifier of node u (default 1000+u).
@@ -413,6 +512,9 @@ func (b *Builder) Build() (*System, error) {
 		}
 		seenID[id] = bgp.NodeID(i)
 	}
+	if err := b.checkConfed(); err != nil {
+		return nil, err
+	}
 	// Physical graph.
 	phys := igp.New(n)
 	for _, l := range b.links {
@@ -440,8 +542,8 @@ func (b *Builder) Build() (*System, error) {
 		}
 	}
 
-	// Sessions: full mesh among top-level reflectors, plus
-	// reflector-to-served-member within each cluster.
+	// Sessions: full mesh among top-level reflectors (of one sub-AS, in a
+	// confederation), plus reflector-to-served-member within each cluster.
 	sessionAt := make([][]bool, n)
 	servedBy := make([][]bool, n)
 	for i := range sessionAt {
@@ -456,7 +558,8 @@ func (b *Builder) Build() (*System, error) {
 		for v := u + 1; v < n; v++ {
 			uID, vID := bgp.NodeID(u), bgp.NodeID(v)
 			if b.roles[u] == Reflector && b.roles[v] == Reflector &&
-				b.parents[b.cluster[u]] < 0 && b.parents[b.cluster[v]] < 0 {
+				b.parents[b.cluster[u]] < 0 && b.parents[b.cluster[v]] < 0 &&
+				b.subAS[u] == b.subAS[v] {
 				addSess(uID, vID)
 			}
 		}
@@ -513,6 +616,11 @@ func (b *Builder) Build() (*System, error) {
 		}
 		addSess(p.u, p.v)
 	}
+	var confedAt, ingress [][]bool
+	var subDist [][]int
+	if len(b.confedSess) > 0 {
+		confedAt, subDist, ingress = b.confedTables(addSess)
+	}
 	sessions := make([][]bgp.NodeID, n)
 	for u := 0; u < n; u++ {
 		for v := 0; v < n; v++ {
@@ -545,8 +653,107 @@ func (b *Builder) Build() (*System, error) {
 		bgpIDs:    append([]int(nil), b.bgpIDs...),
 		ap:        igp.NewAllPairs(phys),
 		clusters:  clusters,
+		numSub:    b.numSub,
+		confedAt:  confedAt,
+		subDist:   subDist,
+		ingress:   ingress,
+	}
+	if b.numSub > 0 {
+		sys.subAS = append([]int(nil), b.subAS...)
 	}
 	return sys, nil
+}
+
+// checkConfed validates a confederation: every router is a member of a
+// sub-AS (which rules out clients and sub-clusters), no sub-AS is empty,
+// and every confed session joins routers of two different sub-ASes.
+func (b *Builder) checkConfed() error {
+	if b.numSub == 0 {
+		if len(b.confedSess) > 0 {
+			return errors.New("topology: confed sessions need member sub-ASes")
+		}
+		return nil
+	}
+	members := make([]int, b.numSub)
+	for u, sub := range b.subAS {
+		switch {
+		case b.roles[u] == Client:
+			return fmt.Errorf("topology: confederation router %q is a client; sub-AS members are client-less reflectors", b.names[u])
+		case b.parents[b.cluster[u]] >= 0:
+			return fmt.Errorf("topology: confederation router %q sits in a sub-cluster", b.names[u])
+		case sub < 0:
+			return fmt.Errorf("topology: router %q is not a member of any sub-AS", b.names[u])
+		}
+		members[sub]++
+	}
+	for k, m := range members {
+		if m == 0 {
+			return fmt.Errorf("topology: sub-AS %d is empty", k)
+		}
+	}
+	for _, p := range b.confedSess {
+		if int(p.u) < 0 || int(p.u) >= len(b.names) || int(p.v) < 0 || int(p.v) >= len(b.names) {
+			return fmt.Errorf("topology: confed session %d-%d references an unknown router", p.u, p.v)
+		}
+		if b.subAS[p.u] == b.subAS[p.v] {
+			return fmt.Errorf("topology: confed session %q-%q lies within one sub-AS", b.names[p.u], b.names[p.v])
+		}
+	}
+	return nil
+}
+
+// confedTables adds the confed sessions and precomputes what Transfers
+// needs: the session kind per pair, hop distances in the sub-AS graph
+// (BFS from every sub-AS), and which routers are ingresses for which
+// sub-AS.
+func (b *Builder) confedTables(addSess func(u, v bgp.NodeID)) (confedAt [][]bool, subDist [][]int, ingress [][]bool) {
+	n, k := len(b.names), b.numSub
+	confedAt = make([][]bool, n)
+	for i := range confedAt {
+		confedAt[i] = make([]bool, n)
+	}
+	adj := make([][]bool, k)
+	for i := range adj {
+		adj[i] = make([]bool, k)
+	}
+	for _, p := range b.confedSess {
+		addSess(p.u, p.v)
+		confedAt[p.u][p.v], confedAt[p.v][p.u] = true, true
+		su, sv := b.subAS[p.u], b.subAS[p.v]
+		adj[su][sv], adj[sv][su] = true, true
+	}
+	subDist = make([][]int, k)
+	for x := range subDist {
+		d := make([]int, k)
+		for i := range d {
+			d[i] = k
+		}
+		d[x] = 0
+		for queue := []int{x}; len(queue) > 0; queue = queue[1:] {
+			for t, ok := range adj[queue[0]] {
+				if ok && d[t] == k {
+					d[t] = d[queue[0]] + 1
+					queue = append(queue, t)
+				}
+			}
+		}
+		subDist[x] = d
+	}
+	ingress = make([][]bool, n)
+	for v := range ingress {
+		ingress[v] = make([]bool, k)
+	}
+	for _, p := range b.confedSess {
+		for _, vw := range [2][2]bgp.NodeID{{p.u, p.v}, {p.v, p.u}} {
+			v, w := vw[0], vw[1]
+			for x := 0; x < k; x++ {
+				if subDist[b.subAS[w]][x] < subDist[b.subAS[v]][x] {
+					ingress[v][x] = true
+				}
+			}
+		}
+	}
+	return confedAt, subDist, ingress
 }
 
 // PrefixExit pairs an exit point with its attributes, for WithExits. It is
