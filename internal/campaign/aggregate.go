@@ -52,6 +52,9 @@ type SeedResult struct {
 	Reconverged  int `json:"reconverged,omitempty"`
 	LoopFree     int `json:"loop_free,omitempty"`
 	LedgerBroken int `json:"ledger_broken,omitempty"`
+	// SoakViolations counts the invariant violations graded over the
+	// scale job's warm-up and churn rounds.
+	SoakViolations int `json:"soak_violations,omitempty"`
 
 	// Lint census fields (LintJob). LintEvaluated marks seeds where both
 	// the exact static verdict and the exhaustive ground truth completed;
@@ -119,8 +122,8 @@ type Aggregate struct {
 	Deferrals       int `json:"deferrals,omitempty"`
 
 	// Chaos statistics (fault-injection jobs only). ChaosViolations counts
-	// seeds where any invariant failed on any plan; examples carry the
-	// first offending seeds.
+	// seeds where any invariant failed on any plan or graded soak round;
+	// examples carry the first offending seeds.
 	ChaosPlans      int     `json:"chaos_plans,omitempty"`
 	Reconverged     int     `json:"reconverged,omitempty"`
 	LoopFree        int     `json:"loop_free,omitempty"`
@@ -211,7 +214,7 @@ func (a *Aggregate) fold(r SeedResult, hist map[int]int) {
 	a.Reconverged += r.Reconverged
 	a.LoopFree += r.LoopFree
 	a.LedgerBroken += r.LedgerBroken
-	if r.ChaosPlans > 0 &&
+	if r.SoakViolations > 0 || r.ChaosPlans > 0 &&
 		(r.Reconverged < r.ChaosPlans || r.LoopFree < r.ChaosPlans ||
 			r.Quiesced < r.ChaosPlans || r.LedgerBroken > 0) {
 		a.ChaosViolations++
@@ -286,7 +289,7 @@ func (a *Aggregate) String() string {
 			fmt.Fprintf(&b, "  fuzz: %d/%d schedules quiesced, %d timing-dependent seeds, %d messages, %d flaps, %d deferrals\n",
 				a.Quiesced, a.Schedules, a.TimingDependent, a.Messages, a.Flaps, a.Deferrals)
 		}
-		if a.ChaosPlans > 0 {
+		if a.ChaosPlans > 0 || a.ChaosViolations > 0 {
 			fmt.Fprintf(&b, "  chaos: %d plans — %d quiesced, %d reconverged, %d loop-free, %d ledger-broken; %d violating seeds\n",
 				a.ChaosPlans, a.Quiesced, a.Reconverged, a.LoopFree, a.LedgerBroken, a.ChaosViolations)
 		}

@@ -3,12 +3,15 @@ package campaign
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/protocol"
+	"repro/internal/topogen"
 	"repro/internal/workload"
 )
 
@@ -312,6 +315,61 @@ func TestFig13JobSmoke(t *testing.T) {
 	}
 	if agg.Fig13 == 0 {
 		t.Errorf("seed range around the pinned counterexample found no fig13-like instance: %s", agg)
+	}
+}
+
+// TestFig13JobExhaustive: the ibgpcensus Figure 13 hunt proves its pinned
+// hit. Seed 8905 is Fig13-like by sampling; a 4000-state budget truncates
+// the confirming search, 200000 states complete it.
+func TestFig13JobExhaustive(t *testing.T) {
+	spec := workload.CrossedSpec{Clusters: 4, TwoClientOn: 0, ASes: 2, MaxMED: 2, DottedProb: 0.5}
+	for _, tc := range []struct {
+		budget     int
+		exhaustive bool
+	}{{4000, false}, {200000, true}} {
+		r := Fig13Job{Spec: spec, ExhaustiveBudget: tc.budget}.Run(context.Background(), 8905, &Meter{})
+		if !r.Fig13Like || r.Exhaustive != tc.exhaustive {
+			t.Errorf("budget %d: fig13-like %v, exhaustive %v (want true, %v)",
+				tc.budget, r.Fig13Like, r.Exhaustive, tc.exhaustive)
+		}
+	}
+}
+
+// TestDescribeRendersFilledJob: an aggregate header names what ran — the
+// chaos job's coerced policy and default fault mix, not the zero values —
+// while the census header keeps its pinned form.
+func TestDescribeRendersFilledJob(t *testing.T) {
+	chaos := ChaosJob{Params: testParams, Plans: 2}.Describe()
+	for _, want := range []string{"policy=modified", "plans=2", "Drop:0.1 ", "Resets:2 ", "Horizon:500"} {
+		if !strings.Contains(chaos, want) {
+			t.Errorf("chaos header %q lacks %q", chaos, want)
+		}
+	}
+	if scale := (ScaleJob{Spec: topogen.Small()}).Describe(); !strings.Contains(scale, "policy=modified") || !strings.Contains(scale, "rounds=3") {
+		t.Errorf("scale header %q does not describe the filled job", scale)
+	}
+	census := CensusJob{Params: testParams, MaxStates: 4000}
+	if got, want := census.Describe(), fmt.Sprintf("%+v maxStates=4000", testParams); got != want {
+		t.Errorf("census header %q, want %q", got, want)
+	}
+}
+
+// TestScaleJobGradesEverySoak: the scale job's warm-up, churn rounds and
+// chaos plan all go through churn's grader over the overlay domain, and
+// all of them hold.
+func TestScaleJobGradesEverySoak(t *testing.T) {
+	spec := topogen.Small()
+	spec.Prefixes = 4
+	job := ScaleJob{Spec: spec, Rounds: 2, Plans: 1}
+	agg, err := Run(context.Background(), job, Config{Shards: 2, Start: 1, Seeds: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if agg.Errors != 0 || agg.ChaosViolations != 0 {
+		t.Fatalf("scale invariants violated: %s (examples %v)", agg, agg.ChaosExamples)
+	}
+	if agg.Quiesced != 3*(1+2+1) || agg.ChaosPlans != 3 || agg.Reconverged != 3 || agg.LoopFree != 3 {
+		t.Fatalf("scale statistics implausible: %s", agg)
 	}
 }
 

@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/chaos"
+	"repro/internal/churn"
 	"repro/internal/explore"
 	"repro/internal/faults"
 	"repro/internal/msgsim"
@@ -57,6 +57,7 @@ type CensusJob struct {
 func (j CensusJob) Name() string { return "census" }
 
 func (j CensusJob) Describe() string {
+	j = j.fill()
 	return fmt.Sprintf("%+v maxStates=%d", j.Params, j.MaxStates)
 }
 
@@ -175,8 +176,8 @@ func equalizeMEDs(sys *topology.System) (*topology.System, error) {
 // Fig13Job reproduces the paper's Figure 13 counterexample search as a
 // campaign: sample the crossed family and classify each draw, flagging the
 // seeds where the Walton et al. fix fails while the modified protocol
-// converges. cmd/cexsearch runs this same hunt serially; as a campaign it
-// shards across workers and survives kills via the checkpoint.
+// converges. As a campaign it shards across workers and survives kills
+// via the checkpoint.
 type Fig13Job struct {
 	// Spec selects the crossed family (workload.SampleCrossed).
 	Spec workload.CrossedSpec
@@ -235,6 +236,7 @@ type FuzzJob struct {
 func (j FuzzJob) Name() string { return "fuzz" }
 
 func (j FuzzJob) Describe() string {
+	j = j.fill()
 	return fmt.Sprintf("%+v policy=%v schedules=%d maxEvents=%d mrai=%d",
 		j.Params, j.Policy, j.Schedules, j.MaxEvents, j.MRAI)
 }
@@ -280,6 +282,7 @@ type ChaosJob struct {
 func (j ChaosJob) Name() string { return "chaos" }
 
 func (j ChaosJob) Describe() string {
+	j = j.fill()
 	return fmt.Sprintf("%+v policy=%v plans=%d faults=%+v", j.Params, j.Policy, j.Plans, j.Faults)
 }
 
@@ -324,32 +327,45 @@ func (j ChaosJob) Run(ctx context.Context, seed int64, m *Meter) SeedResult {
 			res.Err = err.Error()
 			return res
 		}
-		rep, err := chaos.CheckSim(sys, chaos.Config{
+		rep, err := churn.CheckSim([]*topology.System{sys}, churn.Config{
 			Policy: j.Policy, Plan: plan,
-			DelaySeed: planSeed + 1, MaxEvents: j.MaxEvents,
+			DelaySeed: planSeed + 1, MaxEventsPerRound: j.MaxEvents,
 		})
 		if err != nil {
 			res.Err = err.Error()
 			return res
 		}
-		res.ChaosPlans++
-		res.Messages += int(rep.Counters.Sent)
-		res.Flaps += int(rep.Counters.Flaps)
-		m.Steps.Add(rep.Counters.Sent)
-		if rep.Quiesced {
-			res.Quiesced++
-		}
-		if rep.Reconverged {
-			res.Reconverged++
-		}
-		if rep.LoopFree {
-			res.LoopFree++
-		}
-		if !rep.LedgerClosed {
-			res.LedgerBroken++
-		}
+		res.tally(rep, m)
 	}
 	return res
+}
+
+// tally counts one graded fault plan into the chaos fields. A plan that
+// reached rest re-converged and stayed loop-free unless a violation of
+// that kind says otherwise; the ledger is graded only at rest.
+func (r *SeedResult) tally(rep *churn.Report, m *Meter) {
+	c := rep.Measured.Counters
+	r.ChaosPlans++
+	r.Messages += int(c.Sent)
+	r.Flaps += int(c.Flaps)
+	m.Steps.Add(c.Sent)
+	failed := map[string]bool{}
+	for _, v := range rep.Violations {
+		failed[v.Kind] = true
+	}
+	if failed["quiesce"] {
+		return
+	}
+	r.Quiesced++
+	if !failed["reconverge"] {
+		r.Reconverged++
+	}
+	if !failed["loop"] {
+		r.LoopFree++
+	}
+	if failed["ledger"] {
+		r.LedgerBroken++
+	}
 }
 
 func (j FuzzJob) Run(ctx context.Context, seed int64, m *Meter) SeedResult {

@@ -41,6 +41,7 @@ type LintJob struct {
 func (j LintJob) Name() string { return "lint" }
 
 func (j LintJob) Describe() string {
+	j = j.fill()
 	return fmt.Sprintf("%+v maxStates=%d", j.Spec, j.MaxStates)
 }
 

@@ -4,25 +4,22 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/bgp"
 	"repro/internal/churn"
 	"repro/internal/faults"
-	"repro/internal/forwarding"
-	"repro/internal/msgsim"
 	"repro/internal/protocol"
-	"repro/internal/selection"
 	"repro/internal/topogen"
 	"repro/internal/topology"
 )
 
 // ScaleJob is the ISP-scale operational workload: generate one provider
 // topology per seed (topogen, including its multi-prefix exit overlays),
-// run the sharded msgsim domain through a warm-up convergence and a few
-// churn rounds, and — when Plans > 0 — re-run the domain under derived
-// fault schedules and grade the chaos invariants per prefix. Everything
-// runs on the deterministic msgsim substrate with seed-derived delay
-// models, so the record is a pure function of the seed and aggregates are
-// byte-identical across shard, worker and refresh-worker counts.
+// soak the sharded msgsim domain through a warm-up convergence and a few
+// churn rounds (churn.SoakDomain, every settled round graded), and — when
+// Plans > 0 — re-run the domain under derived fault schedules
+// (churn.CheckSim). Everything runs on the deterministic msgsim substrate
+// with seed-derived delay models, so the record is a pure function of the
+// seed and aggregates are byte-identical across shard, worker and
+// refresh-worker counts.
 type ScaleJob struct {
 	// Spec selects the generated provider family, including the Prefixes
 	// knob (topogen.Generate).
@@ -61,8 +58,9 @@ type ScaleJob struct {
 func (j ScaleJob) Name() string { return "scale" }
 
 func (j ScaleJob) Describe() string {
-	return fmt.Sprintf("%+v policy=%v churn=%v rounds=%d mrai=%d workers=%d plans=%d",
-		j.Spec, j.Policy, j.Churn, j.Rounds, j.MRAI, j.Workers, j.Plans)
+	j = j.fill()
+	return fmt.Sprintf("%+v policy=%v churn=%v rounds=%d mrai=%d plans=%d",
+		j.Spec, j.Policy, j.Churn, j.Rounds, j.MRAI, j.Plans)
 }
 
 func (j ScaleJob) fill() ScaleJob {
@@ -90,173 +88,76 @@ func (j ScaleJob) fill() ScaleJob {
 	return j
 }
 
-// domain generates one seed's prefix-indexed system map. Every prefix
-// shares the base session graph (topology.BuildSpecAll layers the
-// generated PrefixExits as overlays), so router.NewDomain takes the
-// shared-graph fast path and the whole domain costs one IGP solve.
-func (j ScaleJob) domain(seed int64) (map[uint32]*topology.System, error) {
+// domain generates one seed's prefix-indexed systems. Every prefix shares
+// the base session graph (topology.BuildSpecAll layers the generated
+// PrefixExits as overlays), so router.NewDomain takes the shared-graph
+// fast path and the whole domain costs one IGP solve.
+func (j ScaleJob) domain(seed int64) ([]*topology.System, error) {
 	spec, err := topogen.Generate(j.Spec, seed)
 	if err != nil {
 		return nil, err
 	}
-	systems, err := topology.BuildSpecAll(spec)
-	if err != nil {
-		return nil, err
-	}
-	dom := make(map[uint32]*topology.System, len(systems))
-	for i, sys := range systems {
-		dom[uint32(i)] = sys
-	}
-	return dom, nil
+	return topology.BuildSpecAll(spec)
 }
 
-// sim builds one configured simulator over the domain.
-func (j ScaleJob) sim(dom map[uint32]*topology.System, delay msgsim.DelayFunc) *msgsim.Sim {
-	s := msgsim.NewMulti(dom, j.Policy, selection.Options{}, delay)
-	if j.MRAI > 0 {
-		s.SetMRAI(j.MRAI)
-	}
-	if j.Workers > 1 {
-		s.SetWorkers(j.Workers)
-	}
-	return s
-}
-
-// bestVectors snapshots every prefix's per-router best configuration.
-func bestVectors(s *msgsim.Sim, n, prefixes int) [][]bgp.PathID {
-	out := make([][]bgp.PathID, prefixes)
-	for p := 0; p < prefixes; p++ {
-		best := make([]bgp.PathID, n)
-		for u := 0; u < n; u++ {
-			best[u] = s.BestFor(uint32(p), bgp.NodeID(u))
-		}
-		out[p] = best
-	}
-	return out
-}
-
-// Run processes one seed: warm-up to quiescence, churn rounds, then the
-// optional chaos plans. Quiesced counts the warm-up plus every churn
-// round and faulted run that reached rest; the chaos invariants
-// (Reconverged, LoopFree, LedgerBroken) are graded over all prefixes at
-// once — one prefix's loop or stale best fails the whole plan.
+// Run processes one seed: the churn soak, then the optional chaos plans.
+// Quiesced counts the warm-up plus every churn round and faulted run that
+// reached rest; a violation in any graded soak round counts the seed in
+// SoakViolations, and each plan is tallied like a ChaosJob plan, graded
+// over all prefixes at once — one prefix's loop or stale best fails the
+// whole plan.
 func (j ScaleJob) Run(ctx context.Context, seed int64, m *Meter) SeedResult {
 	j = j.fill()
 	res := SeedResult{Seed: seed}
-	dom, err := j.domain(seed)
+	systems, err := j.domain(seed)
 	if err != nil {
 		res.Err = err.Error()
 		return res
 	}
-	base := dom[0]
-	res.Nodes = base.N()
+	res.Nodes = systems[0].N()
 
-	// Warm-up and churn under a seed-derived random delay model.
-	s := j.sim(dom, msgsim.MustRandomDelay(seed+1, 1, 10))
-	s.InjectAll()
-	r := s.Run(j.MaxEvents)
-	if r.Quiesced {
-		res.Quiesced++
+	// Warm-up and churn under a seed-derived random delay model
+	// (SoakDomain's default DelaySeed, Spec.Seed+1).
+	cfg := churn.Config{
+		Spec: j.Churn, Rounds: j.Rounds, Policy: j.Policy,
+		MRAI: j.MRAI, Workers: j.Workers, MaxEventsPerRound: j.MaxEvents,
 	}
-
-	spec := j.Churn
-	spec.Seed = seed
-	spec.Prefixes = len(dom)
-	paths := make([]bgp.PathID, len(base.Exits()))
-	for i, p := range base.Exits() {
-		paths[i] = p.ID
-	}
-	st, err := churn.NewStream(spec, paths)
+	cfg.Spec.Seed = seed
+	rep, err := churn.SoakDomain(systems, cfg)
 	if err != nil {
 		res.Err = err.Error()
 		return res
 	}
-	for rd := 0; rd < j.Rounds && ctx.Err() == nil; rd++ {
-		evs := st.Next()
-		at := s.Now() + 1
-		if anchor := int64(rd) * spec.Period; at < anchor {
-			at = anchor
-		}
-		for _, ev := range evs {
-			if ev.Withdraw {
-				s.WithdrawPrefixAt(at+ev.At, ev.Prefix, ev.Path)
-			} else {
-				s.InjectPrefixAt(at+ev.At, ev.Prefix, ev.Path)
-			}
-		}
-		// Run's event budget is cumulative; each round extends it.
-		r = s.Run(r.Events + j.MaxEvents)
-		if r.Quiesced {
-			res.Quiesced++
-		}
-	}
-	c := s.Counters()
+	c := rep.Measured.Counters
 	res.Messages += int(c.Sent)
 	res.Flaps += int(c.Flaps)
 	m.Steps.Add(c.Sent)
-
-	if j.Plans <= 0 || ctx.Err() != nil {
-		return res
-	}
-
-	// Chaos-plan variant: the fault-free constant-delay reference is the
-	// unique Lemma 7.4 configuration every faulted run must return to.
-	ref := j.sim(dom, msgsim.ConstantDelay(1))
-	ref.InjectAll()
-	if !ref.Run(j.MaxEvents).Quiesced {
-		res.Err = fmt.Sprintf("scale: fault-free baseline did not quiesce in %d events", j.MaxEvents)
-		return res
-	}
-	want := bestVectors(ref, base.N(), len(dom))
-
-	for i := 0; i < j.Plans; i++ {
-		if ctx.Err() != nil {
-			break
+	// The soak stops at the first state that does not settle, so the
+	// warm-up and every round before it did.
+	res.Quiesced += 1 + rep.Agg.Rounds
+	for _, v := range rep.Violations {
+		if v.Kind == "quiesce" {
+			res.Quiesced--
 		}
-		// Plan seeds are derived from the topology seed, like ChaosJob's.
+	}
+	res.SoakViolations = len(rep.Violations)
+
+	// Chaos-plan variant: plan seeds are derived from the topology seed,
+	// like ChaosJob's.
+	for i := 0; i < j.Plans && ctx.Err() == nil; i++ {
 		planSeed := seed*int64(j.Plans) + int64(i)
-		plan, err := faults.RandomPlan(planSeed, base.N(), j.Faults)
+		cfg.Plan, err = faults.RandomPlan(planSeed, res.Nodes, j.Faults)
 		if err != nil {
 			res.Err = err.Error()
 			return res
 		}
-		fs := j.sim(dom, msgsim.MustRandomDelay(planSeed+1, 1, 10))
-		if err := fs.SetFaults(plan); err != nil {
+		cfg.DelaySeed = planSeed + 1
+		rep, err := churn.CheckSim(systems, cfg)
+		if err != nil {
 			res.Err = err.Error()
 			return res
 		}
-		fs.InjectAll()
-		fr := fs.Run(j.MaxEvents)
-		fc := fs.Counters()
-		res.ChaosPlans++
-		res.Messages += int(fc.Sent)
-		res.Flaps += int(fc.Flaps)
-		m.Steps.Add(fc.Sent)
-		if fr.Quiesced {
-			res.Quiesced++
-		}
-		got := bestVectors(fs, base.N(), len(dom))
-		reconverged, loopFree := true, true
-		for p := range got {
-			for u := range got[p] {
-				if got[p][u] != want[p][u] {
-					reconverged = false
-					break
-				}
-			}
-			if !forwarding.NewPlane(dom[uint32(p)], protocol.Snapshot{Best: got[p]}).LoopFree() {
-				loopFree = false
-			}
-		}
-		if reconverged {
-			res.Reconverged++
-		}
-		if loopFree {
-			res.LoopFree++
-		}
-		if fc.Sent != fc.Received+fc.Rejected+fc.Dropped {
-			res.LedgerBroken++
-		}
+		res.tally(rep, m)
 	}
 	return res
 }

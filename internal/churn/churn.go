@@ -3,9 +3,11 @@
 // configurable rates and burst shapes — and drives them against both
 // operational substrates (the discrete-event simulator of package msgsim
 // and the TCP speakers of package speaker) for soak runs that continuously
-// assert the chaos invariants: windowed Lemma 7.4 re-convergence after
-// each faultless quiet window, loop freedom, bounded RIB growth, and
-// quiescence-ledger closure.
+// assert the fault-horizon invariants: windowed Lemma 7.4 re-convergence
+// after each faultless quiet window, loop freedom, bounded RIB growth, and
+// quiescence-ledger closure. It is the one place those invariants are
+// graded: CheckSim is the same grader applied once to the warm-up, the
+// one-shot check under a fault schedule that eventually ceases.
 //
 // Determinism follows the design of package faults: every choice the
 // generator makes — event offsets inside a round's burst window, the

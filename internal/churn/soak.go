@@ -2,13 +2,11 @@ package churn
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"time"
 
 	"repro/internal/bgp"
 	"repro/internal/faults"
-	"repro/internal/forwarding"
 	"repro/internal/msgsim"
 	"repro/internal/protocol"
 	"repro/internal/router"
@@ -100,6 +98,9 @@ func (c Config) fill() Config {
 // deterministic aggregate (checked rounds, state hash) is substrate-
 // independent: a faultless plan checks every round, a horizoned plan the
 // rounds starting at or after the horizon, a horizonless active plan none.
+// The warm-up (r = -1) is graded once at quiescence, the one-shot
+// fault-horizon check: faults that cease are one more message ordering,
+// so its settled state must be the reference's too.
 func (c Config) checkable(r int) bool {
 	if !c.Plan.Active() {
 		return true
@@ -107,10 +108,10 @@ func (c Config) checkable(r int) bool {
 	if c.Plan.Horizon <= 0 {
 		return false
 	}
-	return int64(r)*c.Spec.Period >= c.Plan.Horizon
+	return r < 0 || int64(r)*c.Spec.Period >= c.Plan.Horizon
 }
 
-// Violation is one failed invariant check.
+// Violation is one failed invariant check. Round is -1 for the warm-up.
 type Violation struct {
 	Round  int    `json:"round"`
 	Prefix uint32 `json:"prefix"`
@@ -191,259 +192,144 @@ type Report struct {
 // OK reports whether every asserted invariant held.
 func (r *Report) OK() bool { return len(r.Violations) == 0 }
 
-// domainSystems replicates one topology across the spec's prefixes: every
-// prefix shares the identical session graph and exit set, the multi-prefix
-// shape router.NewDomain validates.
-func domainSystems(sys *topology.System, prefixes int) map[uint32]*topology.System {
-	m := make(map[uint32]*topology.System, prefixes)
-	for p := 0; p < prefixes; p++ {
-		m[uint32(p)] = sys
-	}
-	return m
+// substrate is one operational transport driven through a run: the
+// msgsim discrete-event simulator or the loopback-TCP speakers.
+type substrate interface {
+	// warmUp injects every exit path of every prefix and reports whether
+	// the run settled.
+	warmUp() bool
+	// round applies round r's events and reports whether the run settled
+	// and its post-burst convergence latency.
+	round(r int, evs []Event) (quiesced bool, latency int64)
+	best(prefix uint32, u bgp.NodeID) bgp.PathID
+	possible(prefix uint32, u bgp.NodeID) bgp.PathSet
+	counters() router.Snapshot
 }
 
-// exitIDs lists a system's exit-path IDs.
-func exitIDs(sys *topology.System) []bgp.PathID {
-	exits := sys.Exits()
-	ids := make([]bgp.PathID, len(exits))
-	for i, p := range exits {
-		ids[i] = p.ID
-	}
-	return ids
+// simSubstrate anchors round r at virtual tick r*Period — every event of
+// round r is scheduled at or after that instant, which is what lets
+// checkable share its horizon arithmetic with the wall-clock substrate —
+// and runs each round to quiescence.
+type simSubstrate struct {
+	s   *msgsim.Sim
+	cfg Config
+	res msgsim.Result
 }
 
-// reference is the incremental fault-free oracle: a constant-delay msgsim
-// run over the same domain, fed the identical event stream round by round
-// and settled after each. Lemma 7.4 (the modified protocol's final
-// configuration is unique for a given set of announced routes, whatever
-// the message ordering) is what makes its per-round fixpoint the one the
-// faulted, delayed, MRAI-paced run must land on too.
-type reference struct {
-	sim *msgsim.Sim
-	n   int
-	max int
-	// used tracks the sim's cumulative event count, because Run's budget
-	// is cumulative too: each settle extends it by the per-round max.
-	used int
+func (x *simSubstrate) warmUp() bool {
+	x.s.InjectAll()
+	x.res = x.s.Run(x.cfg.MaxEventsPerRound)
+	return x.res.Quiesced
 }
 
-func newReference(sys *topology.System, cfg Config) (*reference, error) {
-	// The delay draw cannot change the fixpoint (Lemma 7.4), so the
-	// reference fixes its own seed; jitter matters only to break the
-	// synchronous lockstep that stalls convergence at scale.
-	ref := &reference{
-		sim: msgsim.NewMulti(domainSystems(sys, cfg.Spec.Prefixes), cfg.Policy, cfg.Opts,
-			msgsim.MustRandomDelay(cfg.Spec.Seed+0x5eed, 1, 10)),
-		n:   sys.N(),
-		max: cfg.MaxEventsPerRound,
+func (x *simSubstrate) round(r int, evs []Event) (bool, int64) {
+	base := x.s.Now() + 1
+	if anchor := int64(r) * x.cfg.Spec.Period; base < anchor {
+		base = anchor
 	}
-	ref.sim.InjectAll()
-	res := ref.sim.Run(ref.max)
-	ref.used = res.Events
-	if !res.Quiesced {
-		return nil, fmt.Errorf("churn: fault-free reference did not quiesce at warm-up (policy has no stable outcome?)")
-	}
-	return ref, nil
-}
-
-// advance applies one round's events to the reference and settles it,
-// returning the converged best vector per prefix.
-func (ref *reference) advance(evs []Event, prefixes int) (map[uint32][]bgp.PathID, error) {
-	base := ref.sim.Now() + 1
+	var last int64
 	for _, ev := range evs {
+		last = max(last, ev.At)
 		if ev.Withdraw {
-			ref.sim.WithdrawPrefixAt(base+ev.At, ev.Prefix, ev.Path)
+			x.s.WithdrawPrefixAt(base+ev.At, ev.Prefix, ev.Path)
 		} else {
-			ref.sim.InjectPrefixAt(base+ev.At, ev.Prefix, ev.Path)
+			x.s.InjectPrefixAt(base+ev.At, ev.Prefix, ev.Path)
 		}
 	}
-	res := ref.sim.Run(ref.used + ref.max)
-	ref.used = res.Events
-	if !res.Quiesced {
-		return nil, fmt.Errorf("churn: fault-free reference did not quiesce")
-	}
-	best := make(map[uint32][]bgp.PathID, prefixes)
-	for p := 0; p < prefixes; p++ {
-		v := make([]bgp.PathID, ref.n)
-		for u := 0; u < ref.n; u++ {
-			v[u] = ref.sim.BestFor(uint32(p), bgp.NodeID(u))
-		}
-		best[uint32(p)] = v
-	}
-	return best, nil
+	// Run's event budget is cumulative across calls, so each round
+	// extends it by the per-round allowance.
+	x.res = x.s.Run(x.res.Events + x.cfg.MaxEventsPerRound)
+	return x.res.Quiesced, max(0, x.res.Time-(base+last))
 }
 
-// checker accumulates the rolling invariant results shared by both
-// substrate drivers.
-type checker struct {
-	sys        *topology.System
-	cfg        Config
-	stream     *Stream
-	ref        *reference
-	hash       uint64
-	checked    int
-	events     int
-	violations []Violation
+func (x *simSubstrate) best(prefix uint32, u bgp.NodeID) bgp.PathID { return x.s.BestFor(prefix, u) }
+func (x *simSubstrate) possible(prefix uint32, u bgp.NodeID) bgp.PathSet {
+	return x.s.PossibleFor(prefix, u)
+}
+func (x *simSubstrate) counters() router.Snapshot { return x.s.Counters() }
+
+// tcpSubstrate anchors round r at wall-clock start + r*Period
+// milliseconds — the sleep before each round is what upholds the
+// checkable guarantee on this substrate — and applies a round's events in
+// At order back to back (Lemma 7.4 makes the settled state independent of
+// the intra-round spacing).
+type tcpSubstrate struct {
+	n     *speaker.Network
+	cfg   Config
+	start time.Time
 }
 
-func newChecker(sys *topology.System, cfg Config) (*checker, error) {
-	stream, err := NewStream(cfg.Spec, exitIDs(sys))
-	if err != nil {
-		return nil, err
-	}
-	ref, err := newReference(sys, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &checker{sys: sys, cfg: cfg, stream: stream, ref: ref, hash: splitmix64(uint64(cfg.Spec.Seed))}, nil
+func (x *tcpSubstrate) warmUp() bool {
+	x.n.InjectAll()
+	return x.n.WaitQuiesce(x.cfg.Timeout, x.cfg.Settle)
 }
 
-func (c *checker) violate(round int, prefix uint32, kind, format string, args ...any) {
-	c.violations = append(c.violations, Violation{
-		Round: round, Prefix: prefix, Kind: kind, Detail: fmt.Sprintf(format, args...),
-	})
-}
-
-// state is the per-round snapshot a substrate driver hands the checker:
-// the converged best path and candidate set per (prefix, router), plus the
-// transport's quiescence verdict and counter snapshot.
-type state struct {
-	best     map[uint32][]bgp.PathID
-	possible map[uint32][]bgp.PathSet
-	counters router.Snapshot
-	quiesced bool
-}
-
-// check grades one settled round against the rolling invariants:
-// quiescence and ledger closure always; on checkable rounds also the
-// windowed Lemma 7.4 re-convergence against the reference, the bounded-RIB
-// containment (no candidate set may retain a route the generator has
-// withdrawn — the invariant that rules out unbounded RIB growth under
-// sustained churn), and forwarding-plane loop freedom per prefix. Checked
-// rounds fold their converged routing into the state hash. Returns false
-// when the round failed to quiesce (the soak cannot meaningfully go on).
-func (c *checker) check(round int, evs []Event, st state) bool {
-	c.events += len(evs)
-	if !st.quiesced {
-		c.violate(round, 0, "quiesce", "round did not quiesce within its budget")
-		return false
+func (x *tcpSubstrate) round(r int, evs []Event) (bool, int64) {
+	if d := time.Until(x.start.Add(time.Duration(int64(r)*x.cfg.Spec.Period) * time.Millisecond)); d > 0 {
+		time.Sleep(d)
 	}
-	if got, want := st.counters.Sent, st.counters.Received+st.counters.Rejected+st.counters.Dropped; got != want {
-		c.violate(round, 0, "ledger", "sent=%d but received+rejected+dropped=%d at rest", got, want)
-	}
-	// The reference consumes every round — checkable or not — so it stays
-	// in lockstep with the run's announced-route state.
-	refBest, err := c.ref.advance(evs, c.cfg.Spec.Prefixes)
-	if err != nil {
-		c.violate(round, 0, "reference", "%v", err)
-		return false
-	}
-	if !c.cfg.checkable(round) {
-		return true
-	}
-	c.checked++
-	c.fold(uint64(uint32(round)))
-	for p := 0; p < c.cfg.Spec.Prefixes; p++ {
-		prefix := uint32(p)
-		live := c.stream.Live(prefix)
-		ref := refBest[prefix]
-		best := st.best[prefix]
-		for u := range best {
-			if best[u] != ref[u] {
-				c.violate(round, prefix, "reconverge",
-					"router %s best p%d, reference p%d", c.sys.Name(bgp.NodeID(u)), best[u], ref[u])
-				break
-			}
-		}
-		for u, ps := range st.possible[prefix] {
-			for _, id := range ps.IDs() {
-				if !live.Contains(id) {
-					c.violate(round, prefix, "rib",
-						"router %s retains withdrawn route p%d (live %v)",
-						c.sys.Name(bgp.NodeID(u)), id, live)
-				}
-			}
-		}
-		if !forwarding.NewPlane(c.sys, protocol.Snapshot{Best: best}).LoopFree() {
-			c.violate(round, prefix, "loop", "forwarding plane has a loop under %v", best)
-		}
-		for u := range best {
-			c.fold(uint64(uint32(prefix))<<40 ^ uint64(uint32(u))<<8 ^ uint64(uint32(best[u]+1)))
+	ordered := append([]Event(nil), evs...)
+	sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].At < ordered[j].At })
+	for _, ev := range ordered {
+		if ev.Withdraw {
+			x.n.WithdrawPrefix(ev.Prefix, ev.Path)
+		} else {
+			x.n.InjectPrefix(ev.Prefix, ev.Path)
 		}
 	}
-	return true
+	applied := time.Now()
+	quiesced := x.n.WaitQuiesce(x.cfg.Timeout, x.cfg.Settle)
+	// WaitQuiesce holds for a settle window after the last activity;
+	// subtract it so the sample approximates time-to-converge.
+	return quiesced, max(0, time.Since(applied).Milliseconds()-x.cfg.Settle.Milliseconds())
 }
 
-// fold mixes one value into the rolling state hash.
-func (c *checker) fold(v uint64) { c.hash = splitmix64(c.hash ^ v) }
+func (x *tcpSubstrate) best(prefix uint32, u bgp.NodeID) bgp.PathID { return x.n.BestFor(prefix, u) }
+func (x *tcpSubstrate) possible(prefix uint32, u bgp.NodeID) bgp.PathSet {
+	return x.n.Speaker(u).PossibleFor(prefix)
+}
+func (x *tcpSubstrate) counters() router.Snapshot { return x.n.Counters() }
 
-// aggregate assembles the deterministic summary after the last round.
-func (c *checker) aggregate(rounds int) Aggregate {
-	return Aggregate{
-		Seed:      c.cfg.Spec.Seed,
-		Rounds:    rounds,
-		Prefixes:  c.cfg.Spec.Prefixes,
-		Routers:   c.sys.N(),
-		Events:    c.events,
-		Announces: c.stream.Announces(),
-		Withdraws: c.stream.Withdraws(),
-		FlapPairs: c.stream.FlapPairs(),
-		Skipped:   c.stream.Skipped(),
-		Checked:   c.checked,
-		StateHash: fmt.Sprintf("%016x", c.hash),
+// replicate carries one topology on every prefix of the spec: the shared
+// session graph and exit set router.NewDomain validates.
+func replicate(sys *topology.System, prefixes int) []*topology.System {
+	systems := make([]*topology.System, prefixes)
+	for p := range systems {
+		systems[p] = sys
 	}
+	return systems
 }
 
-// report assembles the final Report once the rounds are over.
-func (c *checker) report(substrate string, rounds int, start time.Time, samples []int64, counters router.Snapshot) *Report {
-	wall := time.Since(start)
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	m := Measured{
-		WallMS:      wall.Milliseconds(),
-		Convergence: percentiles(samples),
-		Counters:    counters,
-		HeapAllocMB: float64(ms.HeapAlloc) / (1 << 20),
-	}
-	if secs := wall.Seconds(); secs > 0 {
-		m.MsgsPerSec = float64(counters.Sent) / secs
-	}
-	return &Report{
-		Substrate:  substrate,
-		Agg:        c.aggregate(rounds),
-		Measured:   m,
-		Violations: c.violations,
-	}
-}
-
-// snapshot collects the per-prefix best and candidate vectors of one
-// settled round from either substrate.
-func snapshot(n int, prefixes int, best func(uint32, bgp.NodeID) bgp.PathID, possible func(uint32, bgp.NodeID) bgp.PathSet) (map[uint32][]bgp.PathID, map[uint32][]bgp.PathSet) {
-	bm := make(map[uint32][]bgp.PathID, prefixes)
-	pm := make(map[uint32][]bgp.PathSet, prefixes)
-	for p := 0; p < prefixes; p++ {
-		prefix := uint32(p)
-		bv := make([]bgp.PathID, n)
-		pv := make([]bgp.PathSet, n)
-		for u := 0; u < n; u++ {
-			bv[u] = best(prefix, bgp.NodeID(u))
-			pv[u] = possible(prefix, bgp.NodeID(u))
-		}
-		bm[prefix], pm[prefix] = bv, pv
-	}
-	return bm, pm
-}
-
-// SoakSim drives one churn soak on the discrete-event simulator substrate.
-// Rounds are anchored at virtual tick r*Period — every event of round r is
-// scheduled at or after that instant, which is what lets checkable share
-// its horizon arithmetic with the wall-clock substrate — and each round
-// runs to quiescence before its quiet-window invariants are graded. The
-// returned Report's Aggregate is a pure function of (Spec, Rounds, Plan,
-// MRAI, DelaySeed); only Measured varies run to run.
+// SoakSim drives one churn soak on the discrete-event simulator substrate:
+// the warm-up, then cfg.Rounds churn rounds, every settled state graded.
+// The returned Report's Aggregate is a pure function of (Spec, Rounds,
+// Plan, MRAI, DelaySeed); only Measured varies run to run.
 func SoakSim(sys *topology.System, cfg Config) (*Report, error) {
+	return SoakDomain(replicate(sys, cfg.Spec.Prefixes), cfg)
+}
+
+// SoakDomain is SoakSim over a domain whose prefixes carry their own
+// systems — WithExits overlays of one session graph, as
+// topology.BuildSpecAll builds them, with equal exit counts. Prefix p is
+// systems[p]; cfg.Spec.Prefixes is taken from len(systems), and every
+// prefix's loop freedom is graded against its own exits.
+func SoakDomain(systems []*topology.System, cfg Config) (*Report, error) {
 	cfg = cfg.fill()
-	c, err := newChecker(sys, cfg)
+	return soakSim(systems, cfg, cfg.Rounds)
+}
+
+// CheckSim is the one-shot fault-horizon check: the warm-up of SoakDomain
+// alone, graded once at quiescence — re-convergence to the fault-free
+// reference, loop freedom and ledger closure under cfg.Plan. cfg.Rounds
+// and the churn shape of cfg.Spec are ignored. Like the soak it is a pure
+// function of its inputs, so campaign jobs fan it out and still aggregate
+// byte-identically.
+func CheckSim(systems []*topology.System, cfg Config) (*Report, error) {
+	return soakSim(systems, cfg.fill(), 0)
+}
+
+func soakSim(systems []*topology.System, cfg Config, rounds int) (*Report, error) {
+	c, err := newChecker(systems, cfg, rounds)
 	if err != nil {
 		return nil, err
 	}
@@ -455,7 +341,7 @@ func SoakSim(sys *topology.System, cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := msgsim.NewMulti(domainSystems(sys, cfg.Spec.Prefixes), cfg.Policy, cfg.Opts, delay)
+	s := msgsim.NewMulti(domain(systems), cfg.Policy, cfg.Opts, delay)
 	if cfg.Events != nil {
 		s.ObserveEvents(cfg.Events)
 	}
@@ -474,67 +360,21 @@ func SoakSim(sys *topology.System, cfg Config) (*Report, error) {
 	if err := s.SetFaults(cfg.Plan); err != nil {
 		return nil, err
 	}
-
-	start := time.Now()
-	var samples []int64
-
-	s.InjectAll()
-	res := s.Run(cfg.MaxEventsPerRound)
-	if !res.Quiesced {
-		c.violate(0, 0, "quiesce", "warm-up did not quiesce within %d events", cfg.MaxEventsPerRound)
-		return c.report("sim", 0, start, samples, s.Counters()), nil
-	}
-
-	rounds := 0
-	for r := 0; r < cfg.Rounds; r++ {
-		evs := c.stream.Next()
-		base := s.Now() + 1
-		if anchor := int64(r) * cfg.Spec.Period; base < anchor {
-			base = anchor
-		}
-		var last int64
-		for _, ev := range evs {
-			if ev.At > last {
-				last = ev.At
-			}
-			if ev.Withdraw {
-				s.WithdrawPrefixAt(base+ev.At, ev.Prefix, ev.Path)
-			} else {
-				s.InjectPrefixAt(base+ev.At, ev.Prefix, ev.Path)
-			}
-		}
-		// Run's event budget is cumulative across calls, so each round
-		// extends it by the per-round allowance.
-		res = s.Run(res.Events + cfg.MaxEventsPerRound)
-		lat := res.Time - (base + last)
-		if lat < 0 {
-			lat = 0
-		}
-		samples = append(samples, lat)
-		if cfg.Latency != nil {
-			cfg.Latency(lat)
-		}
-		best, possible := snapshot(sys.N(), cfg.Spec.Prefixes, s.BestFor, s.PossibleFor)
-		rounds = r + 1
-		if !c.check(r, evs, state{best: best, possible: possible, counters: s.Counters(), quiesced: res.Quiesced}) {
-			break
-		}
-	}
-	return c.report("sim", rounds, start, samples, s.Counters()), nil
+	return c.run("sim", &simSubstrate{s: s, cfg: cfg}, rounds, time.Now())
 }
 
-// SoakTCP drives the identical soak over loopback TCP speakers. Rounds are
-// anchored at wall-clock start + r*Period milliseconds — the sleep before
-// each round is what upholds the checkable guarantee on this substrate —
-// and a round's events are applied in At order back to back (Lemma 7.4
-// makes the settled state independent of the intra-round spacing).
+// SoakTCP drives the identical soak over loopback TCP speakers.
 func SoakTCP(sys *topology.System, cfg Config) (*Report, error) {
 	cfg = cfg.fill()
-	c, err := newChecker(sys, cfg)
+	return soakTCP(replicate(sys, cfg.Spec.Prefixes), cfg, cfg.Rounds)
+}
+
+func soakTCP(systems []*topology.System, cfg Config, rounds int) (*Report, error) {
+	c, err := newChecker(systems, cfg, rounds)
 	if err != nil {
 		return nil, err
 	}
-	n, err := speaker.NewMulti(domainSystems(sys, cfg.Spec.Prefixes), cfg.Policy, cfg.Opts)
+	n, err := speaker.NewMulti(domain(systems), cfg.Policy, cfg.Opts)
 	if err != nil {
 		return nil, err
 	}
@@ -556,54 +396,10 @@ func SoakTCP(sys *topology.System, cfg Config) (*Report, error) {
 	if err := n.SetFaults(cfg.Plan); err != nil {
 		return nil, err
 	}
-
 	start := time.Now()
 	if err := n.Start(); err != nil {
 		return nil, err
 	}
 	defer n.Stop()
-	var samples []int64
-
-	n.InjectAll()
-	if !n.WaitQuiesce(cfg.Timeout, cfg.Settle) {
-		c.violate(0, 0, "quiesce", "warm-up did not quiesce within %v", cfg.Timeout)
-		return c.report("tcp", 0, start, samples, n.Counters()), nil
-	}
-
-	rounds := 0
-	for r := 0; r < cfg.Rounds; r++ {
-		evs := c.stream.Next()
-		if d := time.Until(start.Add(time.Duration(int64(r)*cfg.Spec.Period) * time.Millisecond)); d > 0 {
-			time.Sleep(d)
-		}
-		ordered := append([]Event(nil), evs...)
-		sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].At < ordered[j].At })
-		for _, ev := range ordered {
-			if ev.Withdraw {
-				n.WithdrawPrefix(ev.Prefix, ev.Path)
-			} else {
-				n.InjectPrefix(ev.Prefix, ev.Path)
-			}
-		}
-		applied := time.Now()
-		quiesced := n.WaitQuiesce(cfg.Timeout, cfg.Settle)
-		// WaitQuiesce holds for a settle window after the last activity;
-		// subtract it so the sample approximates time-to-converge.
-		lat := time.Since(applied).Milliseconds() - cfg.Settle.Milliseconds()
-		if lat < 0 {
-			lat = 0
-		}
-		samples = append(samples, lat)
-		if cfg.Latency != nil {
-			cfg.Latency(lat)
-		}
-		best, possible := snapshot(sys.N(), cfg.Spec.Prefixes, n.BestFor, func(prefix uint32, u bgp.NodeID) bgp.PathSet {
-			return n.Speaker(u).PossibleFor(prefix)
-		})
-		rounds = r + 1
-		if !c.check(r, evs, state{best: best, possible: possible, counters: n.Counters(), quiesced: quiesced}) {
-			break
-		}
-	}
-	return c.report("tcp", rounds, start, samples, n.Counters()), nil
+	return c.run("tcp", &tcpSubstrate{n: n, cfg: cfg, start: start}, rounds, start)
 }

@@ -17,7 +17,7 @@
 // message ordering and timing"; a fault plan whose faults eventually cease
 // (Horizon) is one more adversarial ordering, so the modified protocol
 // must re-converge to the unique Lemma 7.4 configuration once the plan
-// goes quiet. Package chaos asserts exactly that.
+// goes quiet. Package churn asserts exactly that (churn.CheckSim).
 package faults
 
 import (

@@ -224,10 +224,10 @@ func Fig12() *Fig {
 // that survives the Walton per-neighbouring-AS advertisement but not the
 // paper's modified protocol.
 //
-// The instance was found by the counterexample search harness
-// (cmd/cexsearch, crossed family {Clusters: 4, TwoClientOn: 0, ASes: 2,
-// MaxMED: 2, DottedProb: 0.5}, seed 8905) and then *exhaustively*
-// verified: the reachable configuration graphs of both classic I-BGP and
+// The instance was found by the Figure 13 hunt (ibgpcensus -job fig13,
+// crossed family {Clusters: 4, TwoClientOn: 0, ASes: 2, MaxMED: 2,
+// DottedProb: 0.5}, seed 8905; reproduce with -start 8905 -seeds 1
+// -max-states 200000) and then *exhaustively* verified: the reachable configuration graphs of both classic I-BGP and
 // Walton I-BGP contain no fixed point, the modified protocol converges,
 // and equalising all MEDs makes both broken protocols converge — so the
 // oscillation is MED-induced, matching the paper's claim. Like the

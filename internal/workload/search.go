@@ -117,28 +117,3 @@ func ClassifyWith(ctx context.Context, sys *topology.System, exhaustiveBudget, w
 func (v Verdict) IsFig13Like() bool {
 	return v.ClassicOscillates && v.WaltonOscillates && v.ModifiedConverges && v.MEDInduced
 }
-
-// SearchResult is one hit from SearchWaltonCounterexample.
-type SearchResult struct {
-	Seed    int64
-	Sys     *topology.System
-	Verdict Verdict
-}
-
-// SearchWaltonCounterexample samples configurations from the Figure 13
-// family until it finds one on which Walton's fix fails (and the modified
-// protocol works), or until maxSeeds samples have been tried.
-func SearchWaltonCounterexample(spec SearchSpec, startSeed int64, maxSeeds int, exhaustiveBudget int) (SearchResult, bool) {
-	for i := 0; i < maxSeeds; i++ {
-		seed := startSeed + int64(i)
-		sys, err := Sample(spec, seed)
-		if err != nil {
-			continue
-		}
-		v := Classify(sys, exhaustiveBudget)
-		if v.IsFig13Like() {
-			return SearchResult{Seed: seed, Sys: sys, Verdict: v}, true
-		}
-	}
-	return SearchResult{}, false
-}

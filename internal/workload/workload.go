@@ -129,22 +129,6 @@ func MustGenerate(p Params, seed int64) *topology.System {
 	return sys
 }
 
-// SearchSpec is the shape of configurations sampled by Search: a fixed
-// cluster/client skeleton with randomised costs and exit attributes,
-// matching the Figure 13 family (four clusters, clients on the first
-// three, two neighbouring ASes, MEDs in {0, 1}).
-type SearchSpec struct {
-	Clusters       int
-	ClientsPerRR   int
-	ASes           int
-	ExitsPerClient int
-	MaxCost        int64
-	// MaxASPathLen > 1 randomises AS-path lengths in [1, MaxASPathLen];
-	// the Walton et al. filter compares AS-path lengths, so variation here
-	// reintroduces route hiding under their fix.
-	MaxASPathLen int
-}
-
 // CrossedSpec is the structured family for the Figure 13 search: k
 // clusters whose clients sit physically *near other clusters' reflectors*
 // ("dotted" IGP links, as in Figure 2), so that equal-MED routes through a
@@ -220,78 +204,6 @@ func SampleCrossed(spec CrossedSpec, seed int64) (*topology.System, error) {
 			NextAS: bgp.ASN(1 + rng.Intn(spec.ASes)),
 			MED:    rng.Intn(spec.MaxMED + 1),
 		})
-	}
-	return b.Build()
-}
-
-// Fig13Spec is the family the paper's Figure 13 lives in.
-func Fig13Spec() SearchSpec {
-	return SearchSpec{Clusters: 4, ClientsPerRR: 1, ASes: 2, ExitsPerClient: 1, MaxCost: 10}
-}
-
-// Validate rejects search-family shapes the sampler cannot realise.
-func (spec SearchSpec) Validate() error {
-	switch {
-	case spec.Clusters < 1:
-		return fmt.Errorf("workload: SearchSpec.Clusters = %d, need at least one cluster", spec.Clusters)
-	case spec.ClientsPerRR < 1:
-		return fmt.Errorf("workload: SearchSpec.ClientsPerRR = %d, need at least one client per reflector", spec.ClientsPerRR)
-	case spec.ASes < 1:
-		return fmt.Errorf("workload: SearchSpec.ASes = %d, need at least one neighbouring AS", spec.ASes)
-	case spec.ExitsPerClient < 1:
-		return fmt.Errorf("workload: SearchSpec.ExitsPerClient = %d, need at least one exit per client", spec.ExitsPerClient)
-	case spec.MaxCost < 1:
-		return fmt.Errorf("workload: SearchSpec.MaxCost = %d, must be positive", spec.MaxCost)
-	}
-	return nil
-}
-
-// Sample draws one configuration from the family.
-func Sample(spec SearchSpec, seed int64) (*topology.System, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	rng := rand.New(rand.NewSource(seed))
-	b := topology.NewBuilder()
-	var rrs []bgp.NodeID
-	var clients []bgp.NodeID
-	for c := 0; c < spec.Clusters; c++ {
-		k := b.NewCluster()
-		rr := b.Reflector(fmt.Sprintf("RR%d", c+1), k)
-		rrs = append(rrs, rr)
-		if c < spec.Clusters-1 { // the last cluster is client-less
-			for i := 0; i < spec.ClientsPerRR; i++ {
-				clients = append(clients, b.Client(fmt.Sprintf("C%d_%d", c+1, i), k))
-			}
-		}
-	}
-	cost := func() int64 { return 1 + rng.Int63n(spec.MaxCost) }
-	// Reflector backbone: random tree plus a few extra links.
-	for i := 1; i < len(rrs); i++ {
-		b.Link(rrs[i], rrs[rng.Intn(i)], cost())
-	}
-	for i := 0; i < spec.Clusters; i++ {
-		u, v := rng.Intn(len(rrs)), rng.Intn(len(rrs))
-		if u != v {
-			b.Link(rrs[u], rrs[v], cost())
-		}
-	}
-	// Clients hang off their reflectors.
-	for i, cl := range clients {
-		b.Link(rrs[i/spec.ClientsPerRR], cl, cost())
-	}
-	for _, cl := range clients {
-		for e := 0; e < spec.ExitsPerClient; e++ {
-			aspl := 1
-			if spec.MaxASPathLen > 1 {
-				aspl = 1 + rng.Intn(spec.MaxASPathLen)
-			}
-			b.Exit(cl, topology.ExitSpec{
-				NextAS:    bgp.ASN(1 + rng.Intn(spec.ASes)),
-				MED:       rng.Intn(2),
-				ASPathLen: aspl,
-			})
-		}
 	}
 	return b.Build()
 }

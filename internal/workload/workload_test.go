@@ -104,16 +104,6 @@ func TestGeneratedSystemsRunAllPolicies(t *testing.T) {
 }
 
 func TestSampleFamilies(t *testing.T) {
-	if _, err := Sample(Fig13Spec(), 3); err != nil {
-		t.Fatal(err)
-	}
-	sys, err := Sample(SearchSpec{Clusters: 3, ClientsPerRR: 2, ASes: 2, ExitsPerClient: 2, MaxCost: 5, MaxASPathLen: 2}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sys.NumExits() != 2*2*2 {
-		t.Fatalf("exits = %d", sys.NumExits())
-	}
 	cs, err := SampleCrossed(CrossedSpec{Clusters: 4, TwoClientOn: 0, ASes: 2, MaxMED: 2, DottedProb: 0.5}, 8905)
 	if err != nil {
 		t.Fatal(err)
@@ -158,14 +148,6 @@ func TestSearchFindsPinnedSeed(t *testing.T) {
 		}
 	}
 	t.Fatal("no Fig13-like instance near the pinned seed")
-}
-
-func TestSearchWaltonCounterexampleMiss(t *testing.T) {
-	// A family that cannot oscillate (single route) returns no hit.
-	spec := SearchSpec{Clusters: 2, ClientsPerRR: 1, ASes: 1, ExitsPerClient: 1, MaxCost: 3}
-	if _, ok := SearchWaltonCounterexample(spec, 1, 5, 0); ok {
-		t.Fatal("impossible family produced a hit")
-	}
 }
 
 // TestReachableSubsetOfEnumeration cross-validates the two stability
@@ -252,29 +234,6 @@ func TestParamsValidateErrorPaths(t *testing.T) {
 				t.Error("Generate accepted what Validate rejected")
 			}
 		})
-	}
-}
-
-// TestSearchSpecValidateErrorPaths covers the Sample generator's guard.
-func TestSearchSpecValidateErrorPaths(t *testing.T) {
-	good := Fig13Spec()
-	if err := good.Validate(); err != nil {
-		t.Fatalf("Fig13 family rejected: %v", err)
-	}
-	bads := []SearchSpec{
-		{Clusters: 0, ClientsPerRR: 1, ASes: 2, ExitsPerClient: 1, MaxCost: 10},
-		{Clusters: 4, ClientsPerRR: 0, ASes: 2, ExitsPerClient: 1, MaxCost: 10},
-		{Clusters: 4, ClientsPerRR: 1, ASes: 0, ExitsPerClient: 1, MaxCost: 10},
-		{Clusters: 4, ClientsPerRR: 1, ASes: 2, ExitsPerClient: 0, MaxCost: 10},
-		{Clusters: 4, ClientsPerRR: 1, ASes: 2, ExitsPerClient: 1, MaxCost: 0},
-	}
-	for _, spec := range bads {
-		if err := spec.Validate(); err == nil {
-			t.Errorf("%+v validated", spec)
-		}
-		if _, err := Sample(spec, 1); err == nil {
-			t.Errorf("Sample accepted %+v", spec)
-		}
 	}
 }
 
